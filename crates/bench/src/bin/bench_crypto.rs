@@ -14,6 +14,8 @@
 
 use std::time::Instant;
 
+use salus_core::keys::KeySession;
+use salus_core::reg_channel::{HostRegChannel, LogicRegChannel, RegisterOp};
 use salus_crypto::aes::Aes256;
 use salus_crypto::ctr::AesCtr256;
 use salus_crypto::gcm::AesGcm256;
@@ -378,6 +380,34 @@ fn main() {
         "speedup_vs_full_rebuild": incremental_speedup,
         "unit": "µs",
     }));
+    // Per-request sizes: a served request roots ~4 KiB buffers, and
+    // every register access is one sealed round trip (seal → open →
+    // seal_response → open_response).
+    let small = &window[..4096];
+    let root_4kib = secs_per_op(2048, || {
+        std::hint::black_box(MerkleTree::build(&merkle_key, small, MERKLE_CHUNK).root());
+    });
+    let session_key = KeySession::from_bytes([0x5Au8; 32]);
+    let mut host = HostRegChannel::new(session_key, 0);
+    let mut logic = LogicRegChannel::new(session_key, 0);
+    let reg_roundtrip = secs_per_op(4096, || {
+        let sealed = host.seal_op(RegisterOp::Write { addr: 4, value: 99 });
+        logic.open_op(&sealed).expect("honest channel");
+        let rsp = logic.seal_response(0);
+        std::hint::black_box(host.open_response(&rsp).expect("honest channel"));
+    });
+    for (size, name, secs) in [
+        ("4KiB", "merkle_root_4kib", root_4kib),
+        ("13B", "reg_channel_roundtrip", reg_roundtrip),
+    ] {
+        println!("  {size:>4}  {name:<26} {:>9.2} µs/op", secs * 1e6);
+        rows.push(serde_json::json!({
+            "size": size,
+            "bench": name,
+            "micros_per_op": secs * 1e6,
+            "unit": "µs",
+        }));
+    }
     // The acceptance bar for the integrity session: a 1-chunk refresh
     // must beat a full rebuild by an order of magnitude at 1 MiB.
     assert!(

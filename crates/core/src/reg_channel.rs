@@ -9,8 +9,9 @@
 //! "transparently decrypts, verifies, and forwards the register
 //! transaction to the accelerator."
 
+use salus_crypto::aes::Aes256;
 use salus_crypto::ctr::AesCtr256;
-use salus_crypto::hmac::hmac_sha256;
+use salus_crypto::hmac::HmacSha256;
 
 use crate::keys::KeySession;
 use crate::SalusError;
@@ -116,66 +117,96 @@ enum Direction {
     LogicToHost,
 }
 
-fn seal(key: &KeySession, dir: Direction, ctr: u64, payload: &[u8]) -> SealedRegMsg {
-    let mut nonce = [0u8; 16];
-    nonce[0] = dir as u8 + 1;
-    nonce[8..].copy_from_slice(&ctr.to_le_bytes());
-    let mut ciphertext = payload.to_vec();
-    AesCtr256::new(key.as_bytes(), &nonce).apply_keystream(&mut ciphertext);
-    let mac = compute_mac(key, dir, ctr, &ciphertext);
-    SealedRegMsg {
-        ctr,
-        ciphertext,
-        mac,
+/// `Key_session` expanded once per endpoint: the AES-256 schedule for
+/// the payload keystream and a keyed HMAC context for the tag. Every
+/// message clones these instead of re-deriving them, so a seal or open
+/// costs one keystream block and two HMAC compressions rather than a
+/// fresh key expansion plus four compressions.
+struct ChannelKeys {
+    cipher: Aes256,
+    mac: HmacSha256,
+}
+
+impl std::fmt::Debug for ChannelKeys {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("ChannelKeys(<redacted>)")
     }
 }
 
-fn open(
-    key: &KeySession,
-    dir: Direction,
-    expected_ctr: u64,
-    msg: &SealedRegMsg,
-) -> Result<Vec<u8>, SalusError> {
-    if msg.ctr != expected_ctr {
-        return Err(SalusError::RegisterChannelViolation("counter mismatch"));
+impl ChannelKeys {
+    fn new(key: &KeySession) -> ChannelKeys {
+        ChannelKeys {
+            cipher: Aes256::new(key.as_bytes()),
+            mac: HmacSha256::new(key.as_bytes()),
+        }
     }
-    let mac = compute_mac(key, dir, msg.ctr, &msg.ciphertext);
-    if !salus_crypto::ct::eq(&mac, &msg.mac) {
-        return Err(SalusError::RegisterChannelViolation("MAC mismatch"));
-    }
-    let mut nonce = [0u8; 16];
-    nonce[0] = dir as u8 + 1;
-    nonce[8..].copy_from_slice(&msg.ctr.to_le_bytes());
-    let mut plaintext = msg.ciphertext.clone();
-    AesCtr256::new(key.as_bytes(), &nonce).apply_keystream(&mut plaintext);
-    Ok(plaintext)
-}
 
-fn compute_mac(key: &KeySession, dir: Direction, ctr: u64, ciphertext: &[u8]) -> [u8; 16] {
-    let mut msg = vec![dir as u8 + 1];
-    msg.extend_from_slice(&ctr.to_le_bytes());
-    msg.extend_from_slice(ciphertext);
-    hmac_sha256(key.as_bytes(), &msg)[..16]
-        .try_into()
-        .expect("16")
+    fn seal(&self, dir: Direction, ctr: u64, payload: &[u8]) -> SealedRegMsg {
+        let mut ciphertext = payload.to_vec();
+        self.apply_keystream(dir, ctr, &mut ciphertext);
+        let mac = self.compute_mac(dir, ctr, &ciphertext);
+        SealedRegMsg {
+            ctr,
+            ciphertext,
+            mac,
+        }
+    }
+
+    fn open(
+        &self,
+        dir: Direction,
+        expected_ctr: u64,
+        msg: &SealedRegMsg,
+    ) -> Result<Vec<u8>, SalusError> {
+        if msg.ctr != expected_ctr {
+            return Err(SalusError::RegisterChannelViolation("counter mismatch"));
+        }
+        let mac = self.compute_mac(dir, msg.ctr, &msg.ciphertext);
+        if !salus_crypto::ct::eq(&mac, &msg.mac) {
+            return Err(SalusError::RegisterChannelViolation("MAC mismatch"));
+        }
+        let mut plaintext = msg.ciphertext.clone();
+        self.apply_keystream(dir, msg.ctr, &mut plaintext);
+        Ok(plaintext)
+    }
+
+    fn apply_keystream(&self, dir: Direction, ctr: u64, data: &mut [u8]) {
+        let mut nonce = [0u8; 16];
+        nonce[0] = dir as u8 + 1;
+        nonce[8..].copy_from_slice(&ctr.to_le_bytes());
+        AesCtr256::from_cipher(self.cipher.clone(), &nonce).apply_keystream(data);
+    }
+
+    fn compute_mac(&self, dir: Direction, ctr: u64, ciphertext: &[u8]) -> [u8; 16] {
+        let mut mac = self.mac.clone();
+        mac.update(&[dir as u8 + 1]);
+        mac.update(&ctr.to_le_bytes());
+        mac.update(ciphertext);
+        mac.finalize()[..16].try_into().expect("16")
+    }
 }
 
 /// The host (SM enclave) endpoint of the channel.
 #[derive(Debug)]
 pub struct HostRegChannel {
-    key: KeySession,
+    keys: ChannelKeys,
     ctr: u64,
 }
 
 impl HostRegChannel {
     /// Creates the host endpoint from the injected secrets.
     pub fn new(key: KeySession, ctr_seed: u64) -> HostRegChannel {
-        HostRegChannel { key, ctr: ctr_seed }
+        HostRegChannel {
+            keys: ChannelKeys::new(&key),
+            ctr: ctr_seed,
+        }
     }
 
     /// Seals the next register operation.
     pub fn seal_op(&mut self, op: RegisterOp) -> SealedRegMsg {
-        let msg = seal(&self.key, Direction::HostToLogic, self.ctr, &op.to_bytes());
+        let msg = self
+            .keys
+            .seal(Direction::HostToLogic, self.ctr, &op.to_bytes());
         self.ctr = self.ctr.wrapping_add(1);
         msg
     }
@@ -187,12 +218,9 @@ impl HostRegChannel {
     ///
     /// [`SalusError::RegisterChannelViolation`] on tampering or replay.
     pub fn open_response(&self, msg: &SealedRegMsg) -> Result<u64, SalusError> {
-        let plain = open(
-            &self.key,
-            Direction::LogicToHost,
-            self.ctr.wrapping_sub(1),
-            msg,
-        )?;
+        let plain = self
+            .keys
+            .open(Direction::LogicToHost, self.ctr.wrapping_sub(1), msg)?;
         if plain.len() != 8 {
             return Err(SalusError::Malformed("register response"));
         }
@@ -203,7 +231,7 @@ impl HostRegChannel {
 /// The SM-logic endpoint of the channel.
 #[derive(Debug)]
 pub struct LogicRegChannel {
-    key: KeySession,
+    keys: ChannelKeys,
     expected_ctr: u64,
 }
 
@@ -211,7 +239,7 @@ impl LogicRegChannel {
     /// Creates the logic endpoint from the BRAM-loaded secrets.
     pub fn new(key: KeySession, ctr_seed: u64) -> LogicRegChannel {
         LogicRegChannel {
-            key,
+            keys: ChannelKeys::new(&key),
             expected_ctr: ctr_seed,
         }
     }
@@ -222,7 +250,9 @@ impl LogicRegChannel {
     ///
     /// [`SalusError::RegisterChannelViolation`] on tampering or replay.
     pub fn open_op(&mut self, msg: &SealedRegMsg) -> Result<RegisterOp, SalusError> {
-        let plain = open(&self.key, Direction::HostToLogic, self.expected_ctr, msg)?;
+        let plain = self
+            .keys
+            .open(Direction::HostToLogic, self.expected_ctr, msg)?;
         let op = RegisterOp::from_bytes(&plain)?;
         self.expected_ctr = self.expected_ctr.wrapping_add(1);
         Ok(op)
@@ -230,8 +260,7 @@ impl LogicRegChannel {
 
     /// Seals the response value for the operation just opened.
     pub fn seal_response(&self, value: u64) -> SealedRegMsg {
-        seal(
-            &self.key,
+        self.keys.seal(
             Direction::LogicToHost,
             self.expected_ctr.wrapping_sub(1),
             &value.to_le_bytes(),
@@ -327,6 +356,64 @@ mod tests {
             !bytes.windows(8).any(|w| w == value.to_le_bytes()),
             "plaintext value must not appear on the bus"
         );
+    }
+
+    /// Wire bytes for a fixed session, pinned from the implementation
+    /// that re-expanded `Key_session` on every message. One write and
+    /// one read, each with its response.
+    #[test]
+    fn golden_wire_bytes() {
+        let key = KeySession::from_bytes(core::array::from_fn(|i| (i as u8).wrapping_mul(37)));
+        let seed = 0x1122_3344_5566_7788;
+        let mut host = HostRegChannel::new(key, seed);
+        let mut logic = LogicRegChannel::new(key, seed);
+        let value = 0x0123_4567_89ab_cdef;
+        let hex = |m: &SealedRegMsg| salus_crypto::sha256::to_hex(&m.to_bytes());
+
+        let write = host.seal_op(RegisterOp::Write { addr: 0x10, value });
+        assert_eq!(
+            hex(&write),
+            "88776655443322110d0000004a27fec477d67f598b90500313547bf9b972a0edb8a804d1c6ffc4f523"
+        );
+        logic.open_op(&write).unwrap();
+        let write_rsp = logic.seal_response(0);
+        assert_eq!(
+            hex(&write_rsp),
+            "88776655443322110800000052d2023031356e5bdf902ab0b8c1fdb32fbbfbf5041c921e"
+        );
+        assert_eq!(host.open_response(&write_rsp).unwrap(), 0);
+
+        let read = host.seal_op(RegisterOp::Read { addr: 0x10 });
+        assert_eq!(
+            hex(&read),
+            "89776655443322110d000000ad8ec495576307dfab3b9829e5d5a43899b72bd348ca4d851c8490de0f"
+        );
+        logic.open_op(&read).unwrap();
+        let read_rsp = logic.seal_response(value);
+        assert_eq!(
+            hex(&read_rsp),
+            "897766554433221108000000853f29a78dd142ac0df01582670495b7447e0ce9bc09ad0d"
+        );
+        assert_eq!(host.open_response(&read_rsp).unwrap(), value);
+    }
+
+    #[test]
+    fn debug_output_carries_no_key_bytes() {
+        let raw: [u8; 32] = core::array::from_fn(|i| 0xC0 + i as u8);
+        let key = KeySession::from_bytes(raw);
+        let host = HostRegChannel::new(key, 7);
+        let logic = LogicRegChannel::new(key, 7);
+        for shown in [
+            format!("{host:?} {host:#?}"),
+            format!("{logic:?} {logic:#?}"),
+        ] {
+            assert!(shown.contains("<redacted>"), "{shown}");
+            assert!(
+                !shown.contains(&salus_crypto::sha256::to_hex(&raw)),
+                "{shown}"
+            );
+            assert!(!shown.contains(&format!("{:?}", &raw[..8])), "{shown}");
+        }
     }
 
     #[test]

@@ -21,10 +21,17 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
 }
 
 /// Incremental HMAC-SHA256.
+///
+/// Keying absorbs `K ⊕ ipad` into the inner hash and `K ⊕ opad` into
+/// the outer one, so a context holds both midstates. Cloning a keyed
+/// context therefore skips both pad compressions: callers that MAC many
+/// messages under one key (Merkle leaves, the register channel, HKDF
+/// blocks) key once and clone per message, paying only for the message
+/// blocks plus one outer compression.
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    outer_key: [u8; 64],
+    outer: Sha256,
 }
 
 impl std::fmt::Debug for HmacSha256 {
@@ -52,10 +59,9 @@ impl HmacSha256 {
 
         let mut inner = Sha256::new();
         inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            outer_key: opad,
-        }
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorbs message bytes.
@@ -66,8 +72,7 @@ impl HmacSha256 {
     /// Finishes and returns the 32-byte tag.
     pub fn finalize(self) -> Digest {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.outer_key);
+        let mut outer = self.outer;
         outer.update(&inner_digest);
         outer.finalize()
     }
@@ -90,11 +95,12 @@ pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> Digest {
 /// Panics if `len > 255 * 32`, the RFC limit.
 pub fn hkdf_expand(prk: &Digest, info: &[u8], len: usize) -> Vec<u8> {
     assert!(len <= 255 * DIGEST_SIZE, "hkdf output too long");
+    let keyed = HmacSha256::new(prk);
     let mut output = Vec::with_capacity(len);
     let mut previous: Option<Digest> = None;
     let mut counter = 1u8;
     while output.len() < len {
-        let mut mac = HmacSha256::new(prk);
+        let mut mac = keyed.clone();
         if let Some(prev) = &previous {
             mac.update(prev);
         }
@@ -165,6 +171,71 @@ mod tests {
             to_hex(&okm),
             "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865"
         );
+    }
+
+    // RFC 5869 test case 2: 82 output bytes span three expand blocks,
+    // so every block after the first runs on a clone of the keyed PRK
+    // context.
+    #[test]
+    fn rfc5869_case2_multi_block() {
+        let ikm: Vec<u8> = (0x00..=0x4f).collect();
+        let salt: Vec<u8> = (0x60..=0xaf).collect();
+        let info: Vec<u8> = (0xb0..=0xff).collect();
+        let okm = hkdf(&salt, &ikm, &info, 82);
+        assert_eq!(
+            to_hex(&okm),
+            "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c\
+             59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71\
+             cc30c58179ec3e87c14c01d5c1f3434f1d87"
+        );
+    }
+
+    /// Textbook HMAC over concatenated buffers, `SHA256((K ⊕ opad) ‖
+    /// SHA256((K ⊕ ipad) ‖ m))` — no midstates, no incremental state.
+    /// The differential reference for [`HmacSha256`].
+    fn naive_hmac(key: &[u8], message: &[u8]) -> Digest {
+        let mut k = if key.len() > 64 {
+            Sha256::digest(key).to_vec()
+        } else {
+            key.to_vec()
+        };
+        k.resize(64, 0);
+        let ipad: Vec<u8> = k.iter().map(|b| b ^ 0x36).collect();
+        let opad: Vec<u8> = k.iter().map(|b| b ^ 0x5c).collect();
+        let inner = Sha256::digest(&[ipad, message.to_vec()].concat());
+        Sha256::digest(&[opad, inner.to_vec()].concat())
+    }
+
+    #[test]
+    fn keyed_state_matches_naive_reference() {
+        // Message lengths straddle the inner hash's padding edges once
+        // the 64-byte ipad block is absorbed (55/56 spill the length
+        // field, 64 fills a block), plus multi-block messages.
+        let lengths = [
+            0usize, 1, 31, 32, 54, 55, 56, 57, 63, 64, 65, 119, 120, 128, 300,
+        ];
+        for key_len in [0usize, 32, 64, 65, 131] {
+            let key: Vec<u8> = (0..key_len).map(|i| (i * 13 + 5) as u8).collect();
+            let keyed = HmacSha256::new(&key);
+            for &len in &lengths {
+                let message: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+                let expect = naive_hmac(&key, &message);
+                assert_eq!(
+                    hmac_sha256(&key, &message),
+                    expect,
+                    "one-shot k={key_len} m={len}"
+                );
+                let mut mac = keyed.clone();
+                mac.update(&message);
+                assert_eq!(mac.finalize(), expect, "cloned k={key_len} m={len}");
+                // Split feeding across the block boundary.
+                let mut mac = keyed.clone();
+                let (a, b) = message.split_at(len / 3);
+                mac.update(a);
+                mac.update(b);
+                assert_eq!(mac.finalize(), expect, "split k={key_len} m={len}");
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! the authenticated state of an untrusted memory region, with
 //! incremental single-chunk updates.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacSha256;
 use crate::parallel;
 use crate::sha256::{Digest, Sha256};
 
@@ -18,9 +18,13 @@ use crate::sha256::{Digest, Sha256};
 /// Leaves are keyed hashes (preventing cross-tree confusion), inner
 /// nodes are SHA-256 over child pairs with domain separation. The tree
 /// is stored as a flat array of `2 * padded_leaves` digests.
+///
+/// The tree keeps the key only as a keyed [`HmacSha256`] (whose
+/// `Debug` prints no state), cloned per leaf: a 256-byte leaf costs 6
+/// SHA-256 compressions instead of the 8 a fresh re-keying would.
 #[derive(Debug, Clone)]
 pub struct MerkleTree {
-    key: [u8; 32],
+    mac: HmacSha256,
     chunk_size: usize,
     leaves: usize,
     /// nodes[1] is the root; nodes[i] has children nodes[2i], nodes[2i+1].
@@ -41,7 +45,7 @@ impl MerkleTree {
         let mut nodes = vec![[0u8; 32]; 2 * padded];
 
         let mut tree = MerkleTree {
-            key: *key,
+            mac: HmacSha256::new(key),
             chunk_size,
             leaves,
             nodes: Vec::new(),
@@ -99,7 +103,7 @@ impl MerkleTree {
         }
 
         let mut tree = MerkleTree {
-            key: *key,
+            mac: HmacSha256::new(key),
             chunk_size,
             leaves,
             nodes: vec![[0u8; 32]; 2 * padded],
@@ -168,11 +172,11 @@ impl MerkleTree {
     }
 
     fn leaf_hash(&self, index: usize, chunk: &[u8]) -> Digest {
-        let mut message = Vec::with_capacity(16 + chunk.len());
-        message.extend_from_slice(b"merkle-leaf-v1");
-        message.extend_from_slice(&(index as u64).to_le_bytes());
-        message.extend_from_slice(chunk);
-        hmac_sha256(&self.key, &message)
+        let mut mac = self.mac.clone();
+        mac.update(b"merkle-leaf-v1");
+        mac.update(&(index as u64).to_le_bytes());
+        mac.update(chunk);
+        mac.finalize()
     }
 
     fn inner_hash(left: &Digest, right: &Digest) -> Digest {
@@ -294,6 +298,7 @@ impl MerkleTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::to_hex;
 
     fn tree(data: &[u8]) -> MerkleTree {
         MerkleTree::build(&[7; 32], data, 16)
@@ -454,6 +459,56 @@ mod tests {
         let chunk = 777 / 256;
         t.update_chunks(&[(chunk, &data[chunk * 256..(chunk + 1) * 256])]);
         assert_eq!(t.root(), MerkleTree::build(&[9; 32], &data, 256).root());
+    }
+
+    // Golden roots, pinned from the per-leaf-rekeying implementation
+    // and cross-checked against an independent Python model
+    // (`hmac`/`hashlib`). Any change to leaf or node hashing — even one
+    // applied consistently to the serial, parallel and incremental
+    // paths — breaks these.
+    const GOLDEN_KEY: [u8; 32] = [0x42; 32];
+
+    #[test]
+    fn golden_root_1mib_bench_window() {
+        // `bench_crypto`'s key and window: the `merkle_root_1mib` pin.
+        let data: Vec<u8> = (0..1usize << 20).map(|i| (i % 251) as u8).collect();
+        let expect = "a4cd0dfff7c6b5688b6df52e593c58b2cbd700dd0a9a1e5ddc246c32460f3b56";
+        assert_eq!(
+            to_hex(&MerkleTree::build(&GOLDEN_KEY, &data, 256).root()),
+            expect
+        );
+        assert_eq!(
+            to_hex(&MerkleTree::build_with_workers(&GOLDEN_KEY, &data, 256, 4).root()),
+            expect
+        );
+    }
+
+    #[test]
+    fn golden_root_4kib_ragged_tail() {
+        // 16 full chunks plus a 77-byte tail: 17 leaves padded to 32,
+        // the size class a served request hashes.
+        let data: Vec<u8> = (0..4096 + 77).map(|i| (i * 7 + 3) as u8).collect();
+        let expect = "e42b041838e15e778961dd8a7e369b9c4c0442e6bed30ff7a0b121d9e5259f73";
+        let mut t = MerkleTree::build(&GOLDEN_KEY, &data, 256);
+        assert_eq!(to_hex(&t.root()), expect);
+        assert_eq!(
+            to_hex(&MerkleTree::build_with_workers(&GOLDEN_KEY, &data, 256, 2).root()),
+            expect
+        );
+        // Re-hashing every leaf in place lands on the same root.
+        let updates: Vec<(usize, &[u8])> = data.chunks(256).enumerate().collect();
+        assert_eq!(to_hex(&t.update_chunks(&updates)), expect);
+        assert!(t.verify_chunk(&t.root(), 16, &data[4096..]));
+    }
+
+    #[test]
+    fn debug_output_carries_no_key_bytes() {
+        let key: [u8; 32] = core::array::from_fn(|i| 0xA0 + i as u8);
+        let t = MerkleTree::build(&key, &[1u8; 600], 256);
+        let shown = format!("{t:?} {t:#?}");
+        assert!(!shown.contains(&to_hex(&key)), "{shown}");
+        assert!(!shown.contains(&format!("{key:?}")), "{shown}");
+        assert!(!shown.contains(&format!("{:?}", &key[..8])), "{shown}");
     }
 
     #[test]

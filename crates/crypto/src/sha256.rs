@@ -91,7 +91,9 @@ impl Sha256 {
         h.finalize()
     }
 
-    /// Absorbs `data` into the hash state.
+    /// Absorbs `data` into the hash state. Whole input blocks are
+    /// compressed straight from `data`; only a ragged head or tail
+    /// passes through the internal buffer.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut data = data;
@@ -100,38 +102,36 @@ impl Sha256 {
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
             self.buffer_len += take;
             data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-            if data.is_empty() {
+            if self.buffer_len < 64 {
                 return;
             }
+            Self::compress(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
         let mut chunks = data.chunks_exact(64);
         for block in &mut chunks {
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+            Self::compress(&mut self.state, block.try_into().expect("64-byte chunk"));
         }
         let rem = chunks.remainder();
         self.buffer[..rem.len()].copy_from_slice(rem);
         self.buffer_len = rem.len();
     }
 
-    /// Consumes the hasher and returns the digest.
+    /// Consumes the hasher and returns the digest. The padding (`0x80`,
+    /// zeros, 64-bit big-endian bit length) is written into the buffer
+    /// directly: one final block, or two when fewer than 9 bytes are
+    /// free.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
+        let n = self.buffer_len;
+        self.buffer[n] = 0x80;
+        self.buffer[n + 1..].fill(0);
+        if n >= 56 {
+            Self::compress(&mut self.state, &self.buffer);
+            self.buffer = [0; 64];
         }
-        // `update` adjusts total_len, but padding length is already fixed
-        // by bit_len captured above.
-        let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        Self::compress(&mut self.state, &self.buffer);
 
         let mut out = [0u8; DIGEST_SIZE];
         for (i, word) in self.state.iter().enumerate() {
@@ -140,7 +140,9 @@ impl Sha256 {
         out
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
+    /// The SHA-256 compression function: folds one 64-byte block into
+    /// `state`.
+    fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -154,7 +156,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -176,14 +178,14 @@ impl Sha256 {
             a = temp1.wrapping_add(temp2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+        state[4] = state[4].wrapping_add(e);
+        state[5] = state[5].wrapping_add(f);
+        state[6] = state[6].wrapping_add(g);
+        state[7] = state[7].wrapping_add(h);
     }
 }
 
@@ -216,6 +218,37 @@ mod tests {
             )),
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
+    }
+
+    // `b"a" * n` across the padding boundaries (55/56 bytes: length
+    // field fits / spills into a second block; 63/64/65: block edge),
+    // generated offline with Python's `hashlib.sha256`.
+    #[test]
+    fn padding_boundary_vectors() {
+        let lengths = [0, 1, 55, 56, 57, 63, 64, 65, 119, 120, 128];
+        let digests = [
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "ca978112ca1bbdcafac231b39a23dc4da786eff8147c4e72b9807785afee48bb",
+            "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            "f13b2d724659eb3bf47f2dd6af1accc87b81f09f59f2b75e5c0bed6589dfe8c6",
+            "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0",
+            "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            "6836cf13bac400e9105071cd6af47084dfacad4e5e302c94bfed24e013afb73e",
+        ];
+        for (n, expect) in lengths.into_iter().zip(digests) {
+            let data = vec![b'a'; n];
+            assert_eq!(hex(&Sha256::digest(&data)), expect, "one-shot n={n}");
+            // Byte-at-a-time feeding walks every buffer fill level.
+            let mut h = Sha256::new();
+            for byte in &data {
+                h.update(std::slice::from_ref(byte));
+            }
+            assert_eq!(hex(&h.finalize()), expect, "bytewise n={n}");
+        }
     }
 
     #[test]
