@@ -8,10 +8,11 @@
 //! size is only determined by the area reserved for the CL during floor
 //! planning" (§6.3).
 
+use salus_crypto::parallel;
 use salus_crypto::sha256::Sha256;
 use salus_fpga::family::FamilyId;
 use salus_fpga::geometry::PartitionGeometry;
-use salus_fpga::wire::{self, bytes_to_words, Cmd, Reg, WireWriter};
+use salus_fpga::wire::{self, Cmd, Reg, WireWriter};
 
 use crate::netlist::Netlist;
 use crate::placement::{CellLocation, PlacementMap};
@@ -125,7 +126,8 @@ pub fn compile(
     // left at the erased value — mirroring real partial bitstreams that
     // configure every cell of the region.
     let fill_seed = Sha256::digest(&table);
-    fill_pseudo(&mut payload[table.len()..logic_bytes_total], &fill_seed);
+    let fill = &mut payload[table.len()..logic_bytes_total];
+    fill_pseudo(fill, &fill_seed, parallel::worker_count(fill.len()));
 
     for module in netlist.modules() {
         for cell in module.brams() {
@@ -160,19 +162,38 @@ pub(crate) fn bram_slot_offset(slot: u32, family: FamilyId) -> usize {
 /// Builds the canonical `IDCODE, RCRC, FAR, WCFG, FDRI, CRC` stream
 /// around a full-partition frame payload. `family_code` stamps the
 /// framing the payload was built with; the ICAP checks it against the
-/// device and fails closed on a mismatch.
+/// device and fails closed on a mismatch. Header words, payload bytes
+/// and the CRC are written straight into one pre-sized buffer.
 pub(crate) fn build_canonical_stream(partition: u32, family_code: u32, payload: &[u8]) -> Vec<u8> {
-    let far = partition << 24;
-    let mut w = WireWriter::new();
+    let mut w = canonical_head(partition, family_code, payload.len(), payload.len() + 64);
+    w.write_payload(payload)
+        .write_reg(Reg::Crc, &[canonical_crc(partition, payload)]);
+    w.finish()
+}
+
+/// Starts a canonical stream for a `payload_len`-byte FDRI payload:
+/// everything up to and including the FDRI headers, with room for
+/// `reserve` more bytes. The payload, the CRC packet and the DESYNC
+/// command follow.
+pub(crate) fn canonical_head(
+    partition: u32,
+    family_code: u32,
+    payload_len: usize,
+    reserve: usize,
+) -> WireWriter {
+    let mut w = WireWriter::with_capacity(reserve);
     w.write_reg(Reg::Idcode, &[family_code])
         .write_cmd(Cmd::Rcrc)
-        .write_reg(Reg::Far, &[far])
+        .write_reg(Reg::Far, &[partition << 24])
         .write_cmd(Cmd::Wcfg)
-        .write_long(Reg::Fdri, &bytes_to_words(payload));
-    let mut crc_input = far.to_be_bytes().to_vec();
-    crc_input.extend_from_slice(payload);
-    w.write_reg(Reg::Crc, &[wire::crc32(&crc_input)]);
-    w.finish()
+        .write_long_header(Reg::Fdri, payload_len.div_ceil(4));
+    w
+}
+
+/// A canonical stream's CRC word: CRC-32 over the FAR word, then the
+/// FDRI payload, fed in place.
+pub(crate) fn canonical_crc(partition: u32, payload: &[u8]) -> u32 {
+    wire::crc32_update(wire::crc32(&(partition << 24).to_be_bytes()), payload)
 }
 
 fn push_str(out: &mut Vec<u8>, s: &str) {
@@ -180,19 +201,32 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Fills `buf` with a deterministic pseudo-random pattern from `seed`.
-fn fill_pseudo(buf: &mut [u8], seed: &[u8; 32]) {
-    let mut counter: u64 = 0;
-    let mut pos = 0;
-    while pos < buf.len() {
+/// Fills `buf` with a deterministic pseudo-random pattern from `seed`:
+/// 32-byte block `i` is `SHA-256(seed ‖ i)`. Blocks are
+/// position-addressable, so the fill is striped across up to `workers`
+/// scoped threads.
+fn fill_pseudo(buf: &mut [u8], seed: &[u8; 32], workers: usize) {
+    const BLOCK: usize = 32;
+    if workers <= 1 {
+        fill_pseudo_from(buf, seed, 0);
+        return;
+    }
+    let chunk_bytes = parallel::chunk_size(buf.len(), workers, BLOCK);
+    std::thread::scope(|scope| {
+        for (i, chunk) in buf.chunks_mut(chunk_bytes).enumerate() {
+            let first = (i * chunk_bytes / BLOCK) as u64;
+            scope.spawn(move || fill_pseudo_from(chunk, seed, first));
+        }
+    });
+}
+
+/// Serial fill of `buf` with blocks `first`, `first + 1`, ….
+fn fill_pseudo_from(buf: &mut [u8], seed: &[u8; 32], first: u64) {
+    for (counter, block) in (first..).zip(buf.chunks_mut(32)) {
         let mut h = Sha256::new();
         h.update(seed);
         h.update(&counter.to_le_bytes());
-        let block = h.finalize();
-        let take = (buf.len() - pos).min(32);
-        buf[pos..pos + take].copy_from_slice(&block[..take]);
-        pos += take;
-        counter += 1;
+        block.copy_from_slice(&h.finalize()[..block.len()]);
     }
 }
 
@@ -204,6 +238,21 @@ mod tests {
 
     fn tiny_geom() -> PartitionGeometry {
         DeviceGeometry::tiny().partitions[0]
+    }
+
+    fn fdri_payload(stream: &[u8]) -> &[u8] {
+        wire::parse_ref(stream)
+            .unwrap()
+            .into_iter()
+            .find_map(|p| match p {
+                wire::PacketRef::Write {
+                    reg: wire::Reg::Fdri,
+                    payload,
+                    ..
+                } => Some(payload),
+                _ => None,
+            })
+            .expect("has FDRI")
     }
 
     fn demo_netlist(role_suffix: &str) -> Netlist {
@@ -226,18 +275,7 @@ mod tests {
         let geom = tiny_geom();
         let compiled = compile(&demo_netlist("a"), geom, 0).unwrap();
         // The FDRI payload must equal the partition's full size.
-        let packets = wire::parse(&compiled.wire).unwrap();
-        let fdri = packets
-            .iter()
-            .find_map(|p| match p {
-                wire::Packet::Write {
-                    reg: wire::Reg::Fdri,
-                    payload,
-                } => Some(payload.len() * 4),
-                _ => None,
-            })
-            .expect("has FDRI");
-        assert_eq!(fdri, geom.config_bytes());
+        assert_eq!(fdri_payload(&compiled.wire).len(), geom.config_bytes());
     }
 
     #[test]
@@ -256,17 +294,7 @@ mod tests {
         let loc = compiled.placement.lookup("top/accel/weights").unwrap();
         assert_eq!(loc.capacity, 64);
         // Verify the payload actually holds the init bytes there.
-        let packets = wire::parse(&compiled.wire).unwrap();
-        let payload = packets
-            .iter()
-            .find_map(|p| match p {
-                wire::Packet::Write {
-                    reg: wire::Reg::Fdri,
-                    payload,
-                } => Some(wire::words_to_bytes(payload)),
-                _ => None,
-            })
-            .unwrap();
+        let payload = fdri_payload(&compiled.wire);
         assert_eq!(
             &payload[loc.byte_offset..loc.byte_offset + 64],
             &[0xAA; 64][..]
@@ -335,19 +363,41 @@ mod tests {
         // Spot-check the fill: no long run of zeros in the logic region.
         let geom = tiny_geom();
         let compiled = compile(&demo_netlist("a"), geom, 0).unwrap();
-        let packets = wire::parse(&compiled.wire).unwrap();
-        let payload = packets
-            .iter()
-            .find_map(|p| match p {
-                wire::Packet::Write {
-                    reg: wire::Reg::Fdri,
-                    payload,
-                } => Some(wire::words_to_bytes(payload)),
-                _ => None,
-            })
-            .unwrap();
+        let payload = fdri_payload(&compiled.wire);
         let logic = &payload[..geom.logic_frames as usize * geom.frame_bytes()];
         let max_zero_run = logic.split(|&b| b != 0).map(<[u8]>::len).max().unwrap_or(0);
         assert!(max_zero_run < 64, "fill leaves no large erased areas");
+    }
+
+    /// The seed's one-block-at-a-time fill: the differential reference
+    /// for the striped fill.
+    fn fill_pseudo_reference(buf: &mut [u8], seed: &[u8; 32]) {
+        let mut counter: u64 = 0;
+        let mut pos = 0;
+        while pos < buf.len() {
+            let mut h = Sha256::new();
+            h.update(seed);
+            h.update(&counter.to_le_bytes());
+            let block = h.finalize();
+            let take = (buf.len() - pos).min(32);
+            buf[pos..pos + take].copy_from_slice(&block[..take]);
+            pos += take;
+            counter += 1;
+        }
+    }
+
+    #[test]
+    fn striped_fill_matches_serial_fill() {
+        // Explicit budgets, so the stripes are exercised on a 1-core host.
+        let seed = Sha256::digest(b"fill seed");
+        for len in [0usize, 1, 31, 32, 33, 1000, 4 * 32 * 1024 + 7] {
+            let mut expected = vec![0u8; len];
+            fill_pseudo_reference(&mut expected, &seed);
+            for workers in 1..=4 {
+                let mut striped = vec![0u8; len];
+                fill_pseudo(&mut striped, &seed, workers);
+                assert_eq!(striped, expected, "len={len} workers={workers}");
+            }
+        }
     }
 }

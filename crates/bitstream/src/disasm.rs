@@ -8,7 +8,7 @@
 //! how the manipulation tests visualise "exactly one cell changed".
 
 use salus_fpga::family::FamilyId;
-use salus_fpga::wire::{self, Packet, Reg};
+use salus_fpga::wire::{self, Packet, PacketRef, Reg};
 
 use crate::BitstreamError;
 
@@ -170,15 +170,16 @@ pub fn diff_payload(
     Ok(diffs)
 }
 
-fn fdri_payload(stream: &[u8]) -> Result<Vec<u8>, BitstreamError> {
-    let packets = wire::parse(stream).map_err(BitstreamError::Fpga)?;
+fn fdri_payload(stream: &[u8]) -> Result<&[u8], BitstreamError> {
+    let packets = wire::parse_ref(stream).map_err(BitstreamError::Fpga)?;
     packets
         .iter()
-        .find_map(|p| match p {
-            Packet::Write {
+        .find_map(|p| match *p {
+            PacketRef::Write {
                 reg: Reg::Fdri,
                 payload,
-            } => Some(wire::words_to_bytes(payload)),
+                ..
+            } => Some(payload),
             _ => None,
         })
         .ok_or(BitstreamError::Fpga(

@@ -10,9 +10,12 @@
 //! `Key_session` and `Ctr_session` inside the SM enclave at deployment
 //! time.
 
-use salus_fpga::wire::{self, Packet, Reg};
+use std::ops::Range;
 
-use crate::compile::build_canonical_stream;
+use salus_fpga::wire::{self, PacketRef, Reg};
+use salus_fpga::FpgaError;
+
+use crate::compile::{canonical_crc, canonical_head};
 use crate::placement::CellLocation;
 use crate::BitstreamError;
 
@@ -23,37 +26,20 @@ use crate::BitstreamError;
 ///
 /// * [`BitstreamError::ManipulationTooLarge`] if `new_contents` exceeds
 ///   the cell's reserved capacity,
-/// * [`BitstreamError::Fpga`] if the stream cannot be parsed or lacks
-///   the canonical FDRI structure.
+/// * [`BitstreamError::Fpga`] if the stream cannot be parsed or is not
+///   exactly the canonical stream [`compile`](crate::compile::compile)
+///   emits.
 pub fn rewrite_cell(
     wire_stream: &[u8],
     location: &CellLocation,
     new_contents: &[u8],
 ) -> Result<Vec<u8>, BitstreamError> {
-    if new_contents.len() > location.capacity {
-        return Err(BitstreamError::ManipulationTooLarge {
-            available: location.capacity,
-            requested: new_contents.len(),
-        });
-    }
-
-    let (partition, family_code, mut payload) = extract_payload(wire_stream)?;
-    if location.byte_offset + location.capacity > payload.len() {
-        return Err(BitstreamError::Fpga(
-            salus_fpga::FpgaError::MalformedBitstream("cell location outside payload"),
-        ));
-    }
-
-    // Zero the full reserved capacity, then write the new contents —
-    // stale secret bytes must not survive a shorter rewrite.
-    payload[location.byte_offset..location.byte_offset + location.capacity].fill(0);
-    payload[location.byte_offset..location.byte_offset + new_contents.len()]
-        .copy_from_slice(new_contents);
-
-    Ok(build_canonical_stream(partition, family_code, &payload))
+    rewrite_cells(wire_stream, &[(location, new_contents)])
 }
 
-/// Rewrites several cells in one pass (one parse + one rebuild).
+/// Rewrites several cells in one pass: the stream is copied once, each
+/// cell is patched inside the copy's FDRI payload, and only the CRC
+/// word is rewritten.
 ///
 /// # Errors
 ///
@@ -62,7 +48,6 @@ pub fn rewrite_cells(
     wire_stream: &[u8],
     updates: &[(&CellLocation, &[u8])],
 ) -> Result<Vec<u8>, BitstreamError> {
-    let (partition, family_code, mut payload) = extract_payload(wire_stream)?;
     for (location, new_contents) in updates {
         if new_contents.len() > location.capacity {
             return Err(BitstreamError::ManipulationTooLarge {
@@ -70,16 +55,20 @@ pub fn rewrite_cells(
                 requested: new_contents.len(),
             });
         }
-        if location.byte_offset + location.capacity > payload.len() {
-            return Err(BitstreamError::Fpga(
-                salus_fpga::FpgaError::MalformedBitstream("cell location outside payload"),
-            ));
-        }
-        payload[location.byte_offset..location.byte_offset + location.capacity].fill(0);
-        payload[location.byte_offset..location.byte_offset + new_contents.len()]
-            .copy_from_slice(new_contents);
     }
-    Ok(build_canonical_stream(partition, family_code, &payload))
+    let canonical = locate(wire_stream)?;
+    let mut out = wire_stream.to_vec();
+    let payload = &mut out[canonical.payload.clone()];
+    for (location, new_contents) in updates {
+        let cell = cell_range(payload.len(), location)?;
+        // Zero the full reserved capacity, then write the new contents —
+        // stale secret bytes must not survive a shorter rewrite.
+        payload[cell.clone()].fill(0);
+        payload[cell.start..cell.start + new_contents.len()].copy_from_slice(new_contents);
+    }
+    let crc = canonical_crc(canonical.partition, payload);
+    out[canonical.crc_word..canonical.crc_word + 4].copy_from_slice(&crc.to_be_bytes());
+    Ok(out)
 }
 
 /// Reads a placed cell's bytes out of a plaintext wire stream (the
@@ -87,56 +76,89 @@ pub fn rewrite_cells(
 ///
 /// # Errors
 ///
-/// [`BitstreamError::Fpga`] for malformed streams or out-of-range
-/// locations.
+/// [`BitstreamError::Fpga`] for malformed or non-canonical streams and
+/// out-of-range locations.
 pub fn read_cell(wire_stream: &[u8], location: &CellLocation) -> Result<Vec<u8>, BitstreamError> {
-    let (_, _, payload) = extract_payload(wire_stream)?;
-    payload
-        .get(location.byte_offset..location.byte_offset + location.capacity)
-        .map(<[u8]>::to_vec)
-        .ok_or(BitstreamError::Fpga(
-            salus_fpga::FpgaError::MalformedBitstream("cell location outside payload"),
-        ))
+    let canonical = locate(wire_stream)?;
+    let payload = &wire_stream[canonical.payload];
+    Ok(payload[cell_range(payload.len(), location)?].to_vec())
 }
 
-/// Extracts `(partition, family code, FDRI payload bytes)` from a
-/// canonical stream. The family code is re-emitted verbatim on
-/// rebuild: manipulation rewrites cell contents, never the framing the
-/// stream was compiled for.
-fn extract_payload(wire_stream: &[u8]) -> Result<(u32, u32, Vec<u8>), BitstreamError> {
-    let packets = wire::parse(wire_stream).map_err(BitstreamError::Fpga)?;
-    let mut far: Option<u32> = None;
-    let mut family_code: Option<u32> = None;
-    let mut payload: Option<Vec<u8>> = None;
-    for p in &packets {
-        match p {
-            Packet::Write {
-                reg: Reg::Far,
-                payload: w,
-            } => far = w.first().copied(),
-            Packet::Write {
-                reg: Reg::Idcode,
-                payload: w,
-            } => family_code = w.first().copied(),
-            Packet::Write {
-                reg: Reg::Fdri,
-                payload: w,
-            } => {
-                payload = Some(wire::words_to_bytes(w));
-            }
-            _ => {}
-        }
+/// Where the FDRI payload and the CRC word of a canonical stream sit.
+#[derive(Debug)]
+struct Canonical {
+    /// Partition index from the FAR word.
+    partition: u32,
+    /// Byte range of the FDRI payload.
+    payload: Range<usize>,
+    /// Byte offset of the CRC word.
+    crc_word: usize,
+}
+
+/// Locates the payload and CRC word of a stream laid out exactly as
+/// [`compile`](crate::compile::compile) emits it. Manipulation patches
+/// bytes in place, so every framing byte outside the payload and CRC
+/// word must be canonical: the stream's framing is re-encoded and
+/// compared byte for byte. Manipulation never rewrites the framing
+/// (family code, partition) a stream was compiled for.
+fn locate(wire_stream: &[u8]) -> Result<Canonical, BitstreamError> {
+    let not_canonical =
+        || BitstreamError::Fpga(FpgaError::MalformedBitstream("not a canonical stream"));
+    let packets = wire::parse_ref(wire_stream)?;
+    let [PacketRef::Write {
+        reg: Reg::Idcode,
+        payload: idcode,
+        ..
+    }, _, PacketRef::Write {
+        reg: Reg::Far,
+        payload: far,
+        ..
+    }, _, PacketRef::Write {
+        reg: Reg::Fdri,
+        offset,
+        payload,
+    }, PacketRef::Write {
+        reg: Reg::Crc,
+        offset: crc_word,
+        payload: crc,
+    }, _] = packets[..]
+    else {
+        return Err(not_canonical());
+    };
+    let (Some(family_code), Some(far), Some(crc)) = (
+        wire::first_word(idcode),
+        wire::first_word(far),
+        wire::first_word(crc),
+    ) else {
+        return Err(not_canonical());
+    };
+    let partition = far >> 24;
+    let mut framing = canonical_head(partition, family_code, payload.len(), 0);
+    let head_len = framing.as_bytes().len();
+    framing.write_reg(Reg::Crc, &[crc]);
+    let framing = framing.finish();
+    let end = offset + payload.len();
+    if wire_stream[..offset] != framing[..head_len] || wire_stream[end..] != framing[head_len..] {
+        return Err(not_canonical());
     }
-    let far = far.ok_or(BitstreamError::Fpga(
-        salus_fpga::FpgaError::MalformedBitstream("missing FAR"),
-    ))?;
-    let family_code = family_code.ok_or(BitstreamError::Fpga(
-        salus_fpga::FpgaError::MalformedBitstream("missing IDCODE"),
-    ))?;
-    let payload = payload.ok_or(BitstreamError::Fpga(
-        salus_fpga::FpgaError::MalformedBitstream("missing FDRI"),
-    ))?;
-    Ok((far >> 24, family_code, payload))
+    Ok(Canonical {
+        partition,
+        payload: offset..end,
+        crc_word,
+    })
+}
+
+/// The byte range of `location`'s reserved capacity inside a payload of
+/// `payload_len` bytes.
+fn cell_range(payload_len: usize, location: &CellLocation) -> Result<Range<usize>, BitstreamError> {
+    location
+        .byte_offset
+        .checked_add(location.capacity)
+        .filter(|&end| end <= payload_len)
+        .map(|end| location.byte_offset..end)
+        .ok_or(BitstreamError::Fpga(FpgaError::MalformedBitstream(
+            "cell location outside payload",
+        )))
 }
 
 #[cfg(test)]
@@ -244,6 +266,128 @@ mod tests {
         let c = compiled();
         let loc = c.placement.require("top/sm/key_attest").unwrap();
         assert_eq!(read_cell(&c.wire, loc).unwrap(), vec![0u8; 32]);
+    }
+
+    /// The seed's rebuild-based manipulation: parse to owned packets,
+    /// patch a copy of the FDRI payload, re-serialise the whole stream.
+    /// The differential reference for the in-place path.
+    fn rewrite_cells_reference(wire_stream: &[u8], updates: &[(&CellLocation, &[u8])]) -> Vec<u8> {
+        let packets = wire::parse(wire_stream).unwrap();
+        let (mut far, mut family_code, mut payload) = (None, None, None);
+        for p in &packets {
+            match p {
+                wire::Packet::Write {
+                    reg: Reg::Far,
+                    payload: w,
+                } => far = w.first().copied(),
+                wire::Packet::Write {
+                    reg: Reg::Idcode,
+                    payload: w,
+                } => family_code = w.first().copied(),
+                wire::Packet::Write {
+                    reg: Reg::Fdri,
+                    payload: w,
+                } => payload = Some(w.iter().flat_map(|w| w.to_be_bytes()).collect::<Vec<u8>>()),
+                _ => {}
+            }
+        }
+        let mut payload = payload.unwrap();
+        for (location, new_contents) in updates {
+            let cell = location.byte_offset..location.byte_offset + location.capacity;
+            payload[cell].fill(0);
+            payload[location.byte_offset..location.byte_offset + new_contents.len()]
+                .copy_from_slice(new_contents);
+        }
+        crate::compile::build_canonical_stream(far.unwrap() >> 24, family_code.unwrap(), &payload)
+    }
+
+    #[test]
+    fn in_place_rewrite_matches_rebuild_for_every_family() {
+        use salus_fpga::family::{DeviceFamily, FamilyId};
+        for family in FamilyId::ALL {
+            let board = DeviceFamily::of(family).tiny_board(2);
+            for partition in 0..2 {
+                let mut n = Netlist::new("diff");
+                n.add_module(
+                    Module::new("top/sm", "sm_logic")
+                        .with_bram(BramCell::zeroed("key_attest", 32))
+                        .with_bram(BramCell::new("weights", vec![0xA5; 100]).unwrap()),
+                );
+                let c = compile(&n, board.partitions[partition], partition).unwrap();
+                let ka = c.placement.require("top/sm/key_attest").unwrap();
+                let w = c.placement.require("top/sm/weights").unwrap();
+                let cases: [&[(&CellLocation, &[u8])]; 4] = [
+                    &[],
+                    &[(ka, &[0x11; 32])],
+                    &[(ka, &[0x22; 5]), (w, &[0x33; 100])],
+                    &[(w, &[]), (ka, &[0x44; 32]), (ka, &[0x55; 3])],
+                ];
+                for updates in cases {
+                    let in_place = rewrite_cells(&c.wire, updates).unwrap();
+                    assert_eq!(
+                        in_place,
+                        rewrite_cells_reference(&c.wire, updates),
+                        "{family:?} partition {partition} updates {}",
+                        updates.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_canonical_streams_are_refused_with_a_typed_error() {
+        let c = compiled();
+        let loc = c.placement.require("top/sm/key_attest").unwrap();
+        let word_at = |stream: &[u8], i: usize| {
+            u32::from_be_bytes(stream[4 * i..4 * i + 4].try_into().unwrap())
+        };
+        let set_word = |stream: &mut Vec<u8>, i: usize, w: u32| {
+            stream[4 * i..4 * i + 4].copy_from_slice(&w.to_be_bytes());
+        };
+        // Word 9 is the IDCODE type-1 header, word 14 the FAR word.
+        let mut variants: Vec<(&str, Vec<u8>)> = Vec::new();
+        let mut extra_dummy = wire::DUMMY_WORD.to_be_bytes().to_vec();
+        extra_dummy.extend_from_slice(&c.wire);
+        variants.push(("extra dummy word", extra_dummy));
+        let mut far_low_bits = c.wire.clone();
+        set_word(&mut far_low_bits, 14, word_at(&c.wire, 14) | 0x40);
+        variants.push(("FAR low bits", far_low_bits));
+        let mut ignored_header_bit = c.wire.clone();
+        set_word(&mut ignored_header_bit, 9, word_at(&c.wire, 9) | 1 << 11);
+        variants.push(("header bit the parser ignores", ignored_header_bit));
+        let mut trailing_packet = c.wire.clone();
+        trailing_packet.extend_from_slice(&c.wire[c.wire.len() - 8..]);
+        variants.push(("packet after DESYNC", trailing_packet));
+        let mut type1_fdri = wire::WireWriter::new();
+        type1_fdri
+            .write_reg(Reg::Idcode, &[c.family().code()])
+            .write_cmd(wire::Cmd::Rcrc)
+            .write_reg(Reg::Far, &[0])
+            .write_cmd(wire::Cmd::Wcfg)
+            .write_reg(Reg::Fdri, &[0; 8])
+            .write_reg(Reg::Crc, &[0]);
+        variants.push(("type-1 FDRI", type1_fdri.finish()));
+        for (what, stream) in &variants {
+            for result in [
+                rewrite_cell(stream, loc, &[1; 32]).map(drop),
+                read_cell(stream, loc).map(drop),
+            ] {
+                assert_eq!(
+                    result,
+                    Err(BitstreamError::Fpga(FpgaError::MalformedBitstream(
+                        "not a canonical stream"
+                    ))),
+                    "{what}"
+                );
+            }
+        }
+        let mut truncated = c.wire.clone();
+        truncated.truncate(c.wire.len() - 8);
+        assert!(matches!(
+            rewrite_cell(&truncated, loc, &[1; 32]),
+            Err(BitstreamError::Fpga(FpgaError::MalformedBitstream(_)))
+        ));
     }
 
     #[test]

@@ -944,8 +944,7 @@ fn exec_step(
         BootStep::BitstreamEncrypt => {
             bed.cost
                 .charge(&clock, Op::BitstreamEncrypt(bed.cl_store.len()));
-            let cl = bed.cl_store.clone();
-            state.encrypted = Some(bed.sm_app.prepare_bitstream(&cl)?);
+            state.encrypted = Some(bed.sm_app.prepare_bitstream(&bed.cl_store)?);
         }
         // ── ⑤→⑥ Shell deployment and internal decryption ─────────────
         BootStep::ClLoad => {

@@ -393,12 +393,25 @@ macro_rules! gcm_variant {
             /// Encrypts `plaintext` with associated data `aad`, returning
             /// `ciphertext || tag`.
             pub fn seal(&self, nonce: &[u8], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-                let j0 = self.j0(nonce);
-                let mut out = plaintext.to_vec();
-                self.ctr_apply(&j0, &mut out);
-                let tag = self.tag(&j0, aad, &out);
+                let mut out = Vec::with_capacity(plaintext.len() + TAG_SIZE);
+                out.extend_from_slice(plaintext);
+                let tag = self.seal_in_place(nonce, aad, &mut out);
                 out.extend_from_slice(&tag);
                 out
+            }
+
+            /// Encrypts `buf` in place with associated data `aad` and
+            /// returns the detached tag. [`seal`](Self::seal) is this
+            /// plus a copy: its output is `buf || tag`.
+            pub fn seal_in_place(
+                &self,
+                nonce: &[u8],
+                aad: &[u8],
+                buf: &mut [u8],
+            ) -> [u8; TAG_SIZE] {
+                let j0 = self.j0(nonce);
+                self.ctr_apply(&j0, buf);
+                self.tag(&j0, aad, buf)
             }
 
             /// Decrypts and verifies `sealed` (`ciphertext || tag`).
@@ -418,14 +431,34 @@ macro_rules! gcm_variant {
                     return Err(CryptoError::InvalidInput("sealed text shorter than tag"));
                 }
                 let (ciphertext, tag) = sealed.split_at(sealed.len() - TAG_SIZE);
+                let mut out = ciphertext.to_vec();
+                self.open_in_place(nonce, aad, &mut out, tag.try_into().expect("tag size"))?;
+                Ok(out)
+            }
+
+            /// Verifies the detached `tag` over ciphertext `buf`, then
+            /// decrypts `buf` in place. The tag is checked before any
+            /// byte is decrypted: on an error `buf` still holds the
+            /// ciphertext.
+            ///
+            /// # Errors
+            ///
+            /// Returns [`CryptoError::AuthenticationFailed`] if the tag does
+            /// not verify.
+            pub fn open_in_place(
+                &self,
+                nonce: &[u8],
+                aad: &[u8],
+                buf: &mut [u8],
+                tag: &[u8; TAG_SIZE],
+            ) -> Result<(), CryptoError> {
                 let j0 = self.j0(nonce);
-                let expected = self.tag(&j0, aad, ciphertext);
+                let expected = self.tag(&j0, aad, buf);
                 if !crate::ct::eq(&expected, tag) {
                     return Err(CryptoError::AuthenticationFailed);
                 }
-                let mut out = ciphertext.to_vec();
-                self.ctr_apply(&j0, &mut out);
-                Ok(out)
+                self.ctr_apply(&j0, buf);
+                Ok(())
             }
         }
     };
@@ -689,5 +722,45 @@ mod tests {
         let sealed = g.seal(&nonce, b"", b"hello");
         assert_eq!(g.open(&nonce, b"", &sealed).unwrap(), b"hello");
         assert!(g.open(&[9u8; 19], b"", &sealed).is_err());
+    }
+
+    #[test]
+    fn in_place_seal_open_agree_with_copying_api() {
+        let g = AesGcm256::new(&[0x33u8; 32]);
+        let nonce = [4u8; 12];
+        let big = 3 * crate::parallel::MIN_BYTES_PER_THREAD + 5;
+        for len in [0usize, 1, 15, 16, 17, 100, big] {
+            let plain: Vec<u8> = (0..len).map(|i| (i * 13 % 256) as u8).collect();
+            let sealed = g.seal(&nonce, b"aad", &plain);
+            let mut buf = plain.clone();
+            let tag = g.seal_in_place(&nonce, b"aad", &mut buf);
+            assert_eq!(&sealed[..len], &buf[..], "ciphertext len={len}");
+            assert_eq!(&sealed[len..], &tag[..], "tag len={len}");
+
+            g.open_in_place(&nonce, b"aad", &mut buf, &tag).unwrap();
+            assert_eq!(buf, plain, "len={len}");
+            assert_eq!(g.open(&nonce, b"aad", &sealed).unwrap(), plain);
+        }
+    }
+
+    #[test]
+    fn tampered_tag_leaves_buffer_undecrypted() {
+        let g = AesGcm256::new(&[0x44u8; 32]);
+        let nonce = [5u8; 12];
+        let mut buf = b"a bitstream that must stay sealed".to_vec();
+        let mut tag = g.seal_in_place(&nonce, b"dna", &mut buf);
+        let ciphertext = buf.clone();
+        tag[0] ^= 0x80;
+        assert_eq!(
+            g.open_in_place(&nonce, b"dna", &mut buf, &tag),
+            Err(CryptoError::AuthenticationFailed)
+        );
+        assert_eq!(buf, ciphertext, "no byte decrypted behind the error");
+        tag[0] ^= 0x80;
+        assert_eq!(
+            g.open_in_place(&nonce, b"other", &mut buf, &tag),
+            Err(CryptoError::AuthenticationFailed)
+        );
+        assert_eq!(buf, ciphertext);
     }
 }

@@ -288,7 +288,7 @@ impl ConfigSink for DeviceSink<'_> {
 mod tests {
     use super::*;
     use crate::family::FamilyId;
-    use crate::wire::{self, bytes_to_words};
+    use crate::wire;
 
     const FRAME_BYTES: usize = FamilyId::UltraScale.frame_bytes();
 
@@ -304,7 +304,7 @@ mod tests {
         w.write_cmd(Cmd::Rcrc)
             .write_reg(Reg::Far, &[far])
             .write_cmd(Cmd::Wcfg)
-            .write_long(Reg::Fdri, &bytes_to_words(&data));
+            .write_long_bytes(Reg::Fdri, &data);
         let mut crc_input = far.to_be_bytes().to_vec();
         crc_input.extend_from_slice(&data);
         w.write_reg(Reg::Crc, &[wire::crc32(&crc_input)]);
@@ -421,7 +421,7 @@ mod tests {
         w.write_cmd(Cmd::Rcrc)
             .write_reg(Reg::Far, &[far])
             .write_cmd(Cmd::Wcfg)
-            .write_long(Reg::Fdri, &bytes_to_words(&data));
+            .write_long_bytes(Reg::Fdri, &data);
         let mut crc_input = far.to_be_bytes().to_vec();
         crc_input.extend_from_slice(&data);
         w.write_reg(Reg::Crc, &[wire::crc32(&crc_input)]);
@@ -453,7 +453,7 @@ mod tests {
             w.write_cmd(Cmd::Rcrc)
                 .write_reg(Reg::Far, &[far])
                 .write_cmd(Cmd::Wcfg)
-                .write_long(Reg::Fdri, &bytes_to_words(&data));
+                .write_long_bytes(Reg::Fdri, &data);
             let mut crc_input = far.to_be_bytes().to_vec();
             crc_input.extend_from_slice(&data);
             w.write_reg(Reg::Crc, &[wire::crc32(&crc_input)]);

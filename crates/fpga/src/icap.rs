@@ -15,7 +15,7 @@
 
 use crate::frame::Frame;
 use crate::keys::DeviceKey;
-use crate::wire::{self, Cmd, Packet, Reg};
+use crate::wire::{self, Cmd, PacketRef, Reg};
 use crate::FpgaError;
 
 /// The device state the ICAP engine operates on.
@@ -109,59 +109,61 @@ impl Icap {
         encrypted: bool,
         outcome: &mut LoadOutcome,
     ) -> Result<(), FpgaError> {
-        let packets = wire::parse(stream)?;
+        let packets = wire::parse_ref(stream)?;
 
         let mut far: u32 = 0;
         let mut wcfg = false;
-        let mut crc_bytes: Vec<u8> = Vec::new();
-        let mut pending: Vec<u8> = Vec::new();
+        // Running CRC over FAR words and FDRI payloads since the last
+        // RCRC, and the FDRI payloads awaiting it — both borrowed from
+        // `stream`, never concatenated.
+        let mut crc: u32 = 0;
+        let mut pending: Vec<&[u8]> = Vec::new();
 
         for packet in packets {
             match packet {
-                Packet::Nop => {}
-                Packet::Write {
+                PacketRef::Nop => {}
+                PacketRef::Write {
                     reg: Reg::Cmd,
                     payload,
+                    ..
                 } => {
-                    let cmd = payload
-                        .first()
-                        .copied()
+                    let cmd = wire::first_word(payload)
                         .and_then(Cmd::from_word)
                         .ok_or(FpgaError::MalformedBitstream("bad CMD payload"))?;
                     match cmd {
                         Cmd::Wcfg => wcfg = true,
-                        Cmd::Rcrc => crc_bytes.clear(),
+                        Cmd::Rcrc => crc = 0,
                         Cmd::Rcfg | Cmd::Null | Cmd::Desync => {}
                     }
                 }
-                Packet::Write {
+                PacketRef::Write {
                     reg: Reg::Far,
                     payload,
+                    ..
                 } => {
-                    far = *payload
-                        .first()
+                    far = wire::first_word(payload)
                         .ok_or(FpgaError::MalformedBitstream("empty FAR"))?;
-                    crc_bytes.extend_from_slice(&far.to_be_bytes());
+                    crc = wire::crc32_update(crc, &payload[..4]);
                 }
-                Packet::Write {
+                PacketRef::Write {
                     reg: Reg::Fdri,
                     payload,
+                    ..
                 } => {
                     if !wcfg {
                         return Err(FpgaError::MalformedBitstream("FDRI outside WCFG"));
                     }
-                    let bytes = wire::words_to_bytes(&payload);
-                    crc_bytes.extend_from_slice(&bytes);
-                    pending.extend_from_slice(&bytes);
+                    crc = wire::crc32_update(crc, payload);
+                    pending.push(payload);
                 }
-                Packet::Write {
+                PacketRef::Write {
                     reg: Reg::Crc,
                     payload,
+                    ..
                 } => {
-                    let expected = *payload
-                        .first()
+                    let expected = wire::first_word(payload)
                         .ok_or(FpgaError::MalformedBitstream("empty CRC"))?;
-                    if wire::crc32(&crc_bytes) != expected {
+                    if crc != expected {
                         return Err(FpgaError::CrcMismatch);
                     }
                     // CRC verified: commit the pending frames, chunked
@@ -170,16 +172,7 @@ impl Icap {
                     // even if its IDCODE were stripped — the explicit
                     // IDCODE check below fails first and cleanly.
                     let partition = (far >> 24) as usize;
-                    let frame_bytes = sink.frame_bytes();
-                    if !pending.len().is_multiple_of(frame_bytes) {
-                        return Err(FpgaError::MalformedBitstream(
-                            "frame data not frame aligned",
-                        ));
-                    }
-                    let frames: Vec<Frame> = pending
-                        .chunks_exact(frame_bytes)
-                        .map(|c| Frame::from_bytes(c, frame_bytes))
-                        .collect::<Result<_, _>>()?;
+                    let frames = cut_frames(&pending, sink.frame_bytes())?;
                     let count = frames.len() as u32;
                     sink.commit_partition(partition, frames)?;
                     outcome.loads.push(LoadSummary {
@@ -188,27 +181,27 @@ impl Icap {
                         encrypted,
                     });
                     pending.clear();
-                    crc_bytes.clear();
+                    crc = 0;
                 }
-                Packet::Write {
+                PacketRef::Write {
                     reg: Reg::Enc,
                     payload,
+                    ..
                 } => {
-                    let envelope = wire::words_to_bytes(&payload);
                     let key = sink.device_key()?;
-                    let inner = wire::open_envelope(&key, sink.dna_raw(), &envelope)?;
+                    let inner = wire::open_envelope(&key, sink.dna_raw(), payload)?;
                     self.process_inner(sink, &inner, true, outcome)?;
                 }
-                Packet::Write {
+                PacketRef::Write {
                     reg: Reg::Idcode,
                     payload,
+                    ..
                 } => {
                     // Family check (fail closed): a bitstream compiled
                     // for another family's framing must never reach
                     // configuration memory, whatever the scheduler
                     // believed — defense in depth at the load layer.
-                    let claimed = *payload
-                        .first()
+                    let claimed = wire::first_word(payload)
                         .ok_or(FpgaError::MalformedBitstream("empty IDCODE"))?;
                     let device = sink.family_code();
                     if claimed != device {
@@ -218,10 +211,10 @@ impl Icap {
                         });
                     }
                 }
-                Packet::Write { reg: Reg::Fdro, .. } => {
+                PacketRef::Write { reg: Reg::Fdro, .. } => {
                     return Err(FpgaError::MalformedBitstream("write to FDRO"));
                 }
-                Packet::Read {
+                PacketRef::Read {
                     reg: Reg::Fdro,
                     words,
                 } => {
@@ -233,7 +226,7 @@ impl Icap {
                     let take = (words * 4).min(data.len());
                     outcome.readback.extend_from_slice(&data[..take]);
                 }
-                Packet::Read { .. } => {
+                PacketRef::Read { .. } => {
                     return Err(FpgaError::MalformedBitstream("read from non-FDRO register"));
                 }
             }
@@ -242,11 +235,44 @@ impl Icap {
     }
 }
 
+/// Cuts the FDRI payloads awaiting commit into frames of `frame_bytes`,
+/// copying each byte once. Payload boundaries need not fall on frame
+/// boundaries; the total must be a whole number of frames.
+fn cut_frames(pending: &[&[u8]], frame_bytes: usize) -> Result<Vec<Frame>, FpgaError> {
+    let total: usize = pending.iter().map(|p| p.len()).sum();
+    if !total.is_multiple_of(frame_bytes) {
+        return Err(FpgaError::MalformedBitstream(
+            "frame data not frame aligned",
+        ));
+    }
+    let mut frames = Vec::with_capacity(total / frame_bytes);
+    // Bytes of a frame that straddles two payloads.
+    let mut partial = Vec::new();
+    for &payload in pending {
+        let mut rest = payload;
+        if !partial.is_empty() {
+            let take = (frame_bytes - partial.len()).min(rest.len());
+            partial.extend_from_slice(&rest[..take]);
+            rest = &rest[take..];
+            if partial.len() == frame_bytes {
+                frames.push(Frame::from_bytes(&partial, frame_bytes)?);
+                partial.clear();
+            }
+        }
+        let mut chunks = rest.chunks_exact(frame_bytes);
+        for chunk in &mut chunks {
+            frames.push(Frame::from_bytes(chunk, frame_bytes)?);
+        }
+        partial.extend_from_slice(chunks.remainder());
+    }
+    Ok(frames)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::family::FamilyId;
-    use crate::wire::{bytes_to_words, WireWriter};
+    use crate::wire::WireWriter;
 
     const FRAME_BYTES: usize = FamilyId::UltraScale.frame_bytes();
 
@@ -302,7 +328,7 @@ mod tests {
         let far = partition << 24;
         w.write_cmd(Cmd::Rcrc).write_reg(Reg::Far, &[far]);
         w.write_cmd(Cmd::Wcfg);
-        w.write_long(Reg::Fdri, &bytes_to_words(frame_data));
+        w.write_long_bytes(Reg::Fdri, frame_data);
         let mut crc_input = far.to_be_bytes().to_vec();
         crc_input.extend_from_slice(frame_data);
         let crc = wire::crc32(&crc_input);
@@ -437,7 +463,7 @@ mod tests {
     #[test]
     fn fdri_outside_wcfg_rejected() {
         let mut w = WireWriter::new();
-        w.write_long(Reg::Fdri, &[0; 4]);
+        w.write_long_bytes(Reg::Fdri, &[0; 16]);
         let mut sink = TestSink::new();
         assert!(matches!(
             Icap::salus().process(&mut sink, &w.finish()).unwrap_err(),

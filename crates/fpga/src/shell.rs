@@ -124,22 +124,26 @@ impl Shell {
     /// Propagates every ICAP failure (CRC, decryption, incomplete
     /// reconfiguration, ...).
     pub fn deploy_bitstream(&self, bitstream: &[u8]) -> Result<LoadOutcome, FpgaError> {
-        let mut to_load = bitstream.to_vec();
-        {
+        let attack = {
             let mut state = self.state.lock();
-            state.observed_bitstreams.push(to_load.clone());
-            match std::mem::take(&mut state.next_load_attack) {
-                LoadAttack::Honest => {}
-                LoadAttack::CorruptByte(offset) => {
-                    if !to_load.is_empty() {
-                        let off = offset.min(to_load.len() - 1);
-                        to_load[off] ^= 0x01;
-                    }
+            state.observed_bitstreams.push(bitstream.to_vec());
+            std::mem::take(&mut state.next_load_attack)
+        };
+        // Honest deployments load straight from the borrowed bytes; only
+        // an armed attack pays for a second, tampered copy.
+        let mut device = self.device.lock();
+        match attack {
+            LoadAttack::Honest => device.icap_load(bitstream),
+            LoadAttack::CorruptByte(offset) => {
+                let mut tampered = bitstream.to_vec();
+                if !tampered.is_empty() {
+                    let off = offset.min(tampered.len() - 1);
+                    tampered[off] ^= 0x01;
                 }
-                LoadAttack::Replace(other) => to_load = other,
+                device.icap_load(&tampered)
             }
+            LoadAttack::Replace(other) => device.icap_load(&other),
         }
-        self.device.lock().icap_load(&to_load)
     }
 
     /// The shell tries to scan the loaded CL via configuration readback
@@ -253,7 +257,7 @@ mod tests {
     use super::*;
     use crate::family::FamilyId;
     use crate::geometry::DeviceGeometry;
-    use crate::wire::{self, bytes_to_words, Cmd, Reg, WireWriter};
+    use crate::wire::{self, Cmd, Reg, WireWriter};
 
     const FRAME_BYTES: usize = FamilyId::UltraScale.frame_bytes();
 
@@ -268,7 +272,7 @@ mod tests {
         w.write_cmd(Cmd::Rcrc)
             .write_reg(Reg::Far, &[0])
             .write_cmd(Cmd::Wcfg)
-            .write_long(Reg::Fdri, &bytes_to_words(&data));
+            .write_long_bytes(Reg::Fdri, &data);
         let mut crc_input = 0u32.to_be_bytes().to_vec();
         crc_input.extend_from_slice(&data);
         w.write_reg(Reg::Crc, &[wire::crc32(&crc_input)]);

@@ -9,7 +9,7 @@
 //! can read the fused key) can open it — the property Salus repurposes
 //! to keep the RoT confidential from the shell.
 
-use salus_crypto::gcm::AesGcm256;
+use salus_crypto::gcm::{AesGcm256, TAG_SIZE};
 
 use crate::FpgaError;
 
@@ -75,7 +75,10 @@ impl Cmd {
     }
 }
 
-/// A parsed configuration packet.
+/// A parsed configuration packet that owns its payload words.
+///
+/// This is an owned view of [`PacketRef`]: [`parse`] runs
+/// [`parse_ref`] and copies each payload out of the stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Packet {
     /// Write `payload` words to `reg`.
@@ -96,6 +99,53 @@ pub enum Packet {
     Nop,
 }
 
+/// A parsed configuration packet whose payload borrows the stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PacketRef<'a> {
+    /// Write `payload` to `reg`.
+    Write {
+        /// Target register.
+        reg: Reg,
+        /// Byte offset of `payload` within the parsed stream.
+        offset: usize,
+        /// The payload's big-endian word bytes (a multiple of 4 long).
+        payload: &'a [u8],
+    },
+    /// Request a read of `words` words from `reg` (readback).
+    Read {
+        /// Source register.
+        reg: Reg,
+        /// Number of words requested.
+        words: usize,
+    },
+    /// A no-op packet.
+    Nop,
+}
+
+impl PacketRef<'_> {
+    /// Copies the packet into an owned [`Packet`].
+    pub fn to_packet(&self) -> Packet {
+        match *self {
+            PacketRef::Write { reg, payload, .. } => Packet::Write {
+                reg,
+                payload: payload
+                    .chunks_exact(4)
+                    .map(|w| u32::from_be_bytes(w.try_into().expect("word")))
+                    .collect(),
+            },
+            PacketRef::Read { reg, words } => Packet::Read { reg, words },
+            PacketRef::Nop => Packet::Nop,
+        }
+    }
+}
+
+/// The first big-endian word of a [`PacketRef::Write`] payload, if any.
+pub fn first_word(payload: &[u8]) -> Option<u32> {
+    payload
+        .get(..4)
+        .map(|w| u32::from_be_bytes(w.try_into().expect("word")))
+}
+
 const TYPE1: u32 = 0b001 << 29;
 const TYPE2: u32 = 0b010 << 29;
 const OP_NOP: u32 = 0b00 << 27;
@@ -104,21 +154,37 @@ const OP_WRITE: u32 = 0b10 << 27;
 const TYPE1_COUNT_MASK: u32 = 0x7FF;
 const TYPE2_COUNT_MASK: u32 = 0x07FF_FFFF;
 
-/// Serializes configuration packets into a byte stream.
+/// Dummy words before the sync word at the start of every stream.
+const PREAMBLE_DUMMY_WORDS: usize = 8;
+
+/// Serializes configuration packets straight into a byte stream.
 #[derive(Debug, Default, Clone)]
 pub struct WireWriter {
-    words: Vec<u32>,
+    bytes: Vec<u8>,
 }
 
 impl WireWriter {
     /// Starts a stream with dummy padding and the sync word.
     pub fn new() -> WireWriter {
-        let mut w = WireWriter { words: Vec::new() };
-        for _ in 0..8 {
-            w.words.push(DUMMY_WORD);
+        WireWriter::with_capacity(0)
+    }
+
+    /// Like [`new`](WireWriter::new), with room reserved for `capacity`
+    /// further bytes, so a stream of known size is written into one
+    /// allocation.
+    pub fn with_capacity(capacity: usize) -> WireWriter {
+        let mut w = WireWriter {
+            bytes: Vec::with_capacity((PREAMBLE_DUMMY_WORDS + 1) * 4 + capacity),
+        };
+        for _ in 0..PREAMBLE_DUMMY_WORDS {
+            w.push_word(DUMMY_WORD);
         }
-        w.words.push(SYNC_WORD);
+        w.push_word(SYNC_WORD);
         w
+    }
+
+    fn push_word(&mut self, word: u32) {
+        self.bytes.extend_from_slice(&word.to_be_bytes());
     }
 
     fn type1_header(op: u32, reg: Reg, count: u32) -> u32 {
@@ -132,9 +198,10 @@ impl WireWriter {
             payload.len() as u32 <= TYPE1_COUNT_MASK,
             "type-1 payload too long"
         );
-        self.words
-            .push(Self::type1_header(OP_WRITE, reg, payload.len() as u32));
-        self.words.extend_from_slice(payload);
+        self.push_word(Self::type1_header(OP_WRITE, reg, payload.len() as u32));
+        for &w in payload {
+            self.push_word(w);
+        }
         self
     }
 
@@ -143,89 +210,92 @@ impl WireWriter {
         self.write_reg(Reg::Cmd, &[cmd as u32])
     }
 
-    /// Writes a long payload to `reg` via a type-1 header followed by a
-    /// type-2 packet (used for FDRI frame data and ENC envelopes).
-    pub fn write_long(&mut self, reg: Reg, payload: &[u32]) -> &mut Self {
+    /// Writes the headers of a long write to `reg`: a type-1 header
+    /// followed by a type-2 packet announcing `words` payload words.
+    /// The caller appends exactly that many words next, with
+    /// [`write_payload`](WireWriter::write_payload).
+    pub fn write_long_header(&mut self, reg: Reg, words: usize) -> &mut Self {
         assert!(
-            payload.len() as u32 <= TYPE2_COUNT_MASK,
+            words as u64 <= TYPE2_COUNT_MASK as u64,
             "type-2 payload too long"
         );
-        self.words.push(Self::type1_header(OP_WRITE, reg, 0));
-        self.words.push(TYPE2 | OP_WRITE | payload.len() as u32);
-        self.words.extend_from_slice(payload);
+        self.push_word(Self::type1_header(OP_WRITE, reg, 0));
+        self.push_word(TYPE2 | OP_WRITE | words as u32);
         self
+    }
+
+    /// Appends payload bytes, zero-padded to a whole number of words.
+    pub fn write_payload(&mut self, payload: &[u8]) -> &mut Self {
+        self.bytes.extend_from_slice(payload);
+        self.pad_to_word();
+        self
+    }
+
+    fn pad_to_word(&mut self) {
+        let padded = self.bytes.len().next_multiple_of(4);
+        self.bytes.resize(padded, 0);
+    }
+
+    /// Writes a long payload to `reg`: the
+    /// [`write_long_header`](WireWriter::write_long_header) words, then
+    /// the payload zero-padded to a whole number of words.
+    pub fn write_long_bytes(&mut self, reg: Reg, payload: &[u8]) -> &mut Self {
+        self.write_long_header(reg, payload.len().div_ceil(4))
+            .write_payload(payload)
     }
 
     /// Emits a readback request for `words` words of `reg`.
     pub fn read_request(&mut self, reg: Reg, words: usize) -> &mut Self {
-        self.words.push(Self::type1_header(OP_READ, reg, 0));
-        self.words.push(TYPE2 | OP_READ | words as u32);
+        self.push_word(Self::type1_header(OP_READ, reg, 0));
+        self.push_word(TYPE2 | OP_READ | words as u32);
         self
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes
     }
 
     /// Finishes the stream (desync) and returns the bytes.
     pub fn finish(mut self) -> Vec<u8> {
         self.write_cmd(Cmd::Desync);
-        let mut bytes = Vec::with_capacity(self.words.len() * 4);
-        for w in &self.words {
-            bytes.extend_from_slice(&w.to_be_bytes());
-        }
-        bytes
+        self.bytes
     }
 }
 
-/// Packs bytes into big-endian words, zero-padding the tail, returning
-/// the words and the original byte length.
-pub fn bytes_to_words(bytes: &[u8]) -> Vec<u32> {
-    let mut chunks = bytes.chunks_exact(4);
-    let mut out: Vec<u32> = Vec::with_capacity(bytes.len().div_ceil(4));
-    out.extend((&mut chunks).map(|c| u32::from_be_bytes(c.try_into().expect("exact chunk"))));
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut w = [0u8; 4];
-        w[..rem.len()].copy_from_slice(rem);
-        out.push(u32::from_be_bytes(w));
-    }
-    out
-}
-
-/// Unpacks big-endian words into bytes (no length trimming).
-pub fn words_to_bytes(words: &[u32]) -> Vec<u8> {
-    let mut out = vec![0u8; words.len() * 4];
-    for (chunk, w) in out.chunks_exact_mut(4).zip(words) {
-        chunk.copy_from_slice(&w.to_be_bytes());
-    }
-    out
-}
-
-/// Parses a wire stream into packets.
+/// Parses a wire stream into packets that borrow their payloads from
+/// `bytes`. This is the one packet parser; [`parse`] is an owned view
+/// of its output.
 ///
 /// # Errors
 ///
 /// Returns [`FpgaError::MalformedBitstream`] for truncated or
 /// unrecognised streams.
-pub fn parse(bytes: &[u8]) -> Result<Vec<Packet>, FpgaError> {
+pub fn parse_ref(bytes: &[u8]) -> Result<Vec<PacketRef<'_>>, FpgaError> {
     if !bytes.len().is_multiple_of(4) {
         return Err(FpgaError::MalformedBitstream("length not word aligned"));
     }
-    let words: Vec<u32> = bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_be_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
+    let len = bytes.len() / 4;
+    let word = |i: usize| u32::from_be_bytes(bytes[4 * i..4 * i + 4].try_into().expect("word"));
+    let write = |reg: Reg, start: usize, count: usize| PacketRef::Write {
+        reg,
+        offset: 4 * start,
+        payload: &bytes[4 * start..4 * (start + count)],
+    };
 
     // Skip dummy words, find sync.
     let mut i = 0;
-    while i < words.len() && words[i] == DUMMY_WORD {
+    while i < len && word(i) == DUMMY_WORD {
         i += 1;
     }
-    if i >= words.len() || words[i] != SYNC_WORD {
+    if i >= len || word(i) != SYNC_WORD {
         return Err(FpgaError::MalformedBitstream("missing sync word"));
     }
     i += 1;
 
     let mut packets = Vec::new();
-    while i < words.len() {
-        let header = words[i];
+    while i < len {
+        let header = word(i);
         i += 1;
         let ptype = header >> 29;
         let op = header & (0b11 << 27);
@@ -235,13 +305,14 @@ pub fn parse(bytes: &[u8]) -> Result<Vec<Packet>, FpgaError> {
                     .ok_or(FpgaError::MalformedBitstream("unknown register"))?;
                 let count = (header & TYPE1_COUNT_MASK) as usize;
                 match op {
-                    OP_NOP => packets.push(Packet::Nop),
+                    OP_NOP => packets.push(PacketRef::Nop),
                     OP_WRITE => {
                         if count == 0 {
                             // Followed by a type-2 packet carrying the data.
-                            let t2 = *words
-                                .get(i)
-                                .ok_or(FpgaError::MalformedBitstream("truncated type-2"))?;
+                            if i >= len {
+                                return Err(FpgaError::MalformedBitstream("truncated type-2"));
+                            }
+                            let t2 = word(i);
                             i += 1;
                             if t2 >> 29 != 0b010 {
                                 return Err(FpgaError::MalformedBitstream("expected type-2"));
@@ -249,51 +320,46 @@ pub fn parse(bytes: &[u8]) -> Result<Vec<Packet>, FpgaError> {
                             let t2_op = t2 & (0b11 << 27);
                             let t2_count = (t2 & TYPE2_COUNT_MASK) as usize;
                             if t2_op == OP_READ {
-                                packets.push(Packet::Read {
+                                packets.push(PacketRef::Read {
                                     reg,
                                     words: t2_count,
                                 });
                             } else {
-                                if i + t2_count > words.len() {
+                                if i + t2_count > len {
                                     return Err(FpgaError::MalformedBitstream(
                                         "truncated type-2 payload",
                                     ));
                                 }
-                                packets.push(Packet::Write {
-                                    reg,
-                                    payload: words[i..i + t2_count].to_vec(),
-                                });
+                                packets.push(write(reg, i, t2_count));
                                 i += t2_count;
                             }
                         } else {
-                            if i + count > words.len() {
+                            if i + count > len {
                                 return Err(FpgaError::MalformedBitstream(
                                     "truncated type-1 payload",
                                 ));
                             }
-                            packets.push(Packet::Write {
-                                reg,
-                                payload: words[i..i + count].to_vec(),
-                            });
+                            packets.push(write(reg, i, count));
                             i += count;
                         }
                     }
                     OP_READ => {
                         if count == 0 {
                             // Long-form read: a type-2 word carries the count.
-                            let t2 = *words
-                                .get(i)
-                                .ok_or(FpgaError::MalformedBitstream("truncated type-2 read"))?;
+                            if i >= len {
+                                return Err(FpgaError::MalformedBitstream("truncated type-2 read"));
+                            }
+                            let t2 = word(i);
                             i += 1;
                             if t2 >> 29 != 0b010 || t2 & (0b11 << 27) != OP_READ {
                                 return Err(FpgaError::MalformedBitstream("expected type-2 read"));
                             }
-                            packets.push(Packet::Read {
+                            packets.push(PacketRef::Read {
                                 reg,
                                 words: (t2 & TYPE2_COUNT_MASK) as usize,
                             });
                         } else {
-                            packets.push(Packet::Read { reg, words: count });
+                            packets.push(PacketRef::Read { reg, words: count });
                         }
                     }
                     _ => return Err(FpgaError::MalformedBitstream("bad opcode")),
@@ -305,27 +371,72 @@ pub fn parse(bytes: &[u8]) -> Result<Vec<Packet>, FpgaError> {
     Ok(packets)
 }
 
-/// CRC-32 (IEEE 802.3, reflected) used for bitstream integrity words.
-pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Parses a wire stream into packets that own their payload words.
+///
+/// # Errors
+///
+/// Exactly those of [`parse_ref`], which this wraps.
+pub fn parse(bytes: &[u8]) -> Result<Vec<Packet>, FpgaError> {
+    Ok(parse_ref(bytes)?.iter().map(PacketRef::to_packet).collect())
+}
+
+/// Slice-by-8 tables for the reflected IEEE 802.3 polynomial:
+/// `CRC_TABLES[0]` is the classic byte table, and `CRC_TABLES[k][i]`
+/// advances `CRC_TABLES[k - 1][i]` by one more zero byte, so eight
+/// input bytes fold in with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-                bit += 1;
-            }
-            table[i] = crc;
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    };
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ byte as u32) & 0xFF) as usize];
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, reflected) used for bitstream integrity words.
+pub fn crc32(data: &[u8]) -> u32 {
+    crc32_update(0, data)
+}
+
+/// Extends `crc`, the CRC-32 of some prefix, over `data`:
+/// `crc32_update(crc32(a), b) == crc32(a ‖ b)`, and `crc32_update(0, b)
+/// == crc32(b)`. Lets a stream be checked in place, piece by piece,
+/// without concatenating the pieces.
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !crc;
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -333,59 +444,44 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// Envelope layout constants: `nonce (12 B) || GCM(ciphertext || tag)`.
 pub const ENC_NONCE_BYTES: usize = 12;
 
-/// Seals an inner plaintext wire stream for a device: the AAD binds the
-/// target device's DNA, so an envelope cannot be re-targeted.
-pub fn seal_envelope(
-    key: &[u8; 32],
-    nonce: &[u8; ENC_NONCE_BYTES],
-    device_dna: u64,
-    inner_plain: &[u8],
-) -> Vec<u8> {
-    seal_envelope_with(&AesGcm256::new(key), nonce, device_dna, inner_plain)
-}
+/// Bytes of envelope header before the ciphertext: the nonce and the
+/// big-endian `u64` inner length.
+const ENC_HEADER_BYTES: usize = ENC_NONCE_BYTES + 8;
 
-/// Like [`seal_envelope`] but reusing an already-initialised GCM
-/// context. Key setup (AES schedule + GHASH tables) is constant work
-/// per envelope; callers sealing many partitions under one
-/// `Key_device` should construct the context once.
-pub fn seal_envelope_with(
-    cipher: &AesGcm256,
-    nonce: &[u8; ENC_NONCE_BYTES],
-    device_dna: u64,
-    inner_plain: &[u8],
-) -> Vec<u8> {
-    let mut envelope = Vec::with_capacity(ENC_NONCE_BYTES + inner_plain.len() + 16 + 8);
-    envelope.extend_from_slice(nonce);
-    envelope.extend_from_slice(&(inner_plain.len() as u64).to_be_bytes());
-    let sealed = cipher.seal(nonce, &device_dna.to_le_bytes(), inner_plain);
-    envelope.extend_from_slice(&sealed);
-    envelope
-}
-
-/// Opens an envelope produced by [`seal_envelope`]. Internal-use by the
-/// configuration engine.
+/// Opens the envelope an ENC packet carries (see
+/// [`build_encrypted_stream`]). Internal-use by the
+/// configuration engine. The ciphertext is copied once and decrypted in
+/// place, and only after its tag verifies.
 pub(crate) fn open_envelope(
     key: &[u8; 32],
     device_dna: u64,
     envelope: &[u8],
 ) -> Result<Vec<u8>, FpgaError> {
-    if envelope.len() < ENC_NONCE_BYTES + 8 + 16 {
+    if envelope.len() < ENC_HEADER_BYTES + TAG_SIZE {
         return Err(FpgaError::MalformedBitstream("envelope too short"));
     }
     let nonce = &envelope[..ENC_NONCE_BYTES];
     let inner_len = u64::from_be_bytes(
-        envelope[ENC_NONCE_BYTES..ENC_NONCE_BYTES + 8]
+        envelope[ENC_NONCE_BYTES..ENC_HEADER_BYTES]
             .try_into()
             .expect("8"),
     ) as usize;
-    let sealed = &envelope[ENC_NONCE_BYTES + 8..];
-    let plain = AesGcm256::new(key)
-        .open(nonce, &device_dna.to_le_bytes(), sealed)
+    let (ciphertext, tag) =
+        envelope[ENC_HEADER_BYTES..].split_at(envelope.len() - ENC_HEADER_BYTES - TAG_SIZE);
+    let mut plain = ciphertext.to_vec();
+    AesGcm256::new(key)
+        .open_in_place(
+            nonce,
+            &device_dna.to_le_bytes(),
+            &mut plain,
+            tag.try_into().expect("tag"),
+        )
         .map_err(|_| FpgaError::DecryptionFailed)?;
     if plain.len() < inner_len {
         return Err(FpgaError::MalformedBitstream("envelope length header"));
     }
-    Ok(plain[..inner_len].to_vec())
+    plain.truncate(inner_len);
+    Ok(plain)
 }
 
 /// Builds an encrypted wire stream that carries `inner_plain` (itself a
@@ -400,18 +496,34 @@ pub fn build_encrypted_stream(
 }
 
 /// Like [`build_encrypted_stream`] but reusing an already-initialised
-/// GCM context (see [`seal_envelope_with`]).
+/// GCM context. Key setup (AES schedule + GHASH tables) is constant
+/// work per stream; callers sealing many partitions under one
+/// `Key_device` should construct the context once.
+///
+/// The envelope is `nonce ‖ inner length (u64 BE) ‖ ciphertext ‖ tag`,
+/// with the device DNA as AAD so it cannot be re-targeted. It is
+/// written straight into the stream, the plaintext copied once to its
+/// final place and sealed there.
 pub fn build_encrypted_stream_with(
     cipher: &AesGcm256,
     nonce: &[u8; ENC_NONCE_BYTES],
     device_dna: u64,
     inner_plain: &[u8],
 ) -> Vec<u8> {
-    let envelope = seal_envelope_with(cipher, nonce, device_dna, inner_plain);
-    // Pad envelope to word multiple inside the type-2 payload; the
-    // length header inside the envelope recovers the exact size.
-    let mut writer = WireWriter::new();
-    writer.write_long(Reg::Enc, &bytes_to_words(&envelope));
+    let envelope_len = ENC_HEADER_BYTES + inner_plain.len() + TAG_SIZE;
+    // The envelope is padded to a word multiple inside the type-2
+    // payload; the length header inside it recovers the exact size.
+    let mut writer = WireWriter::with_capacity(envelope_len + 6 * 4);
+    writer.write_long_header(Reg::Enc, envelope_len.div_ceil(4));
+    writer.bytes.extend_from_slice(nonce);
+    writer
+        .bytes
+        .extend_from_slice(&(inner_plain.len() as u64).to_be_bytes());
+    let body = writer.bytes.len();
+    writer.bytes.extend_from_slice(inner_plain);
+    let tag = cipher.seal_in_place(nonce, &device_dna.to_le_bytes(), &mut writer.bytes[body..]);
+    writer.bytes.extend_from_slice(&tag);
+    writer.pad_to_word();
     writer.finish()
 }
 
@@ -426,7 +538,7 @@ mod tests {
             .write_reg(Reg::Idcode, &[0x0BAD_C0DE])
             .write_reg(Reg::Far, &[0x0100_0000])
             .write_cmd(Cmd::Wcfg)
-            .write_long(Reg::Fdri, &[1, 2, 3, 4, 5]);
+            .write_long_bytes(Reg::Fdri, &[0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3]);
         let bytes = w.finish();
         let packets = parse(&bytes).unwrap();
         assert_eq!(
@@ -450,7 +562,7 @@ mod tests {
                 },
                 Packet::Write {
                     reg: Reg::Fdri,
-                    payload: vec![1, 2, 3, 4, 5]
+                    payload: vec![1, 2, 3]
                 },
                 Packet::Write {
                     reg: Reg::Cmd,
@@ -486,33 +598,52 @@ mod tests {
     fn crc32_known_value() {
         // CRC-32 of "123456789" is 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_reference(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The ENC payload of an encrypted stream: the envelope.
+    fn envelope_of(stream: &[u8]) -> &[u8] {
+        match parse_ref(stream).unwrap()[0] {
+            PacketRef::Write {
+                reg: Reg::Enc,
+                payload,
+                ..
+            } => payload,
+            other => panic!("expected an ENC write, got {other:?}"),
+        }
     }
 
     #[test]
     fn envelope_roundtrip_and_binding() {
         let key = [9u8; 32];
         let nonce = [1u8; 12];
-        let plain = b"inner stream bytes".to_vec();
-        let env = seal_envelope(&key, &nonce, 0xABCD, &plain);
-        assert_eq!(open_envelope(&key, 0xABCD, &env).unwrap(), plain);
+        let plain = b"inner stream words!!".to_vec();
+        let stream = build_encrypted_stream(&key, &nonce, 0xABCD, &plain);
+        let env = envelope_of(&stream);
+        assert_eq!(&env[..ENC_NONCE_BYTES], &nonce);
+        assert_eq!(open_envelope(&key, 0xABCD, env).unwrap(), plain);
         // Wrong device: AAD mismatch.
         assert_eq!(
-            open_envelope(&key, 0xABCE, &env),
+            open_envelope(&key, 0xABCE, env),
             Err(FpgaError::DecryptionFailed)
         );
         // Wrong key.
         assert_eq!(
-            open_envelope(&[8u8; 32], 0xABCD, &env),
+            open_envelope(&[8u8; 32], 0xABCD, env),
             Err(FpgaError::DecryptionFailed)
         );
-        // Tampered ciphertext.
-        let mut bad = env.clone();
+        // Tampered tag.
+        let mut bad = env.to_vec();
         let n = bad.len();
         bad[n - 1] ^= 1;
         assert_eq!(
             open_envelope(&key, 0xABCD, &bad),
             Err(FpgaError::DecryptionFailed)
+        );
+        assert_eq!(
+            open_envelope(&key, 0xABCD, &env[..ENC_HEADER_BYTES + TAG_SIZE - 1]),
+            Err(FpgaError::MalformedBitstream("envelope too short"))
         );
     }
 
@@ -525,12 +656,104 @@ mod tests {
     }
 
     #[test]
-    fn bytes_words_roundtrip_with_padding() {
-        let bytes = vec![1u8, 2, 3, 4, 5];
-        let words = bytes_to_words(&bytes);
-        assert_eq!(words.len(), 2);
-        let back = words_to_bytes(&words);
-        assert_eq!(&back[..5], &bytes[..]);
-        assert_eq!(back[5..], [0, 0, 0]);
+    fn long_bytes_are_padded_and_borrowed_in_place() {
+        let mut w = WireWriter::new();
+        w.write_long_bytes(Reg::Fdri, &[1, 2, 3, 4, 5]);
+        let stream = w.finish();
+        let packets = parse_ref(&stream).unwrap();
+        let PacketRef::Write {
+            reg: Reg::Fdri,
+            offset,
+            payload,
+        } = packets[0]
+        else {
+            panic!("expected an FDRI write, got {:?}", packets[0]);
+        };
+        assert_eq!(payload, &[1, 2, 3, 4, 5, 0, 0, 0]);
+        assert_eq!(&stream[offset..offset + payload.len()], payload);
+        assert_eq!(
+            parse(&stream).unwrap()[0],
+            Packet::Write {
+                reg: Reg::Fdri,
+                payload: vec![0x0102_0304, 0x0500_0000]
+            }
+        );
+        assert_eq!(first_word(payload), Some(0x0102_0304));
+        assert_eq!(first_word(&[]), None);
+    }
+
+    #[test]
+    fn parse_is_the_owned_view_of_parse_ref() {
+        let mut w = WireWriter::new();
+        w.write_cmd(Cmd::Rcrc)
+            .write_reg(Reg::Far, &[7 << 24])
+            .write_long_bytes(Reg::Fdri, &[9; 160])
+            .read_request(Reg::Fdro, 3);
+        let stream = w.finish();
+        let owned: Vec<Packet> = parse_ref(&stream)
+            .unwrap()
+            .iter()
+            .map(PacketRef::to_packet)
+            .collect();
+        assert_eq!(parse(&stream).unwrap(), owned);
+    }
+
+    /// The seed's byte-at-a-time CRC-32: the differential reference
+    /// for the slice-by-8 tables.
+    fn crc32_reference(data: &[u8]) -> u32 {
+        let table = &CRC_TABLES[0];
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc = (crc >> 8) ^ table[((crc ^ byte as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn byte_table_matches_bitwise_polynomial() {
+        for (i, &entry) in CRC_TABLES[0].iter().enumerate() {
+            let mut crc = i as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+            assert_eq!(entry, crc, "entry {i}");
+        }
+    }
+
+    #[test]
+    fn sliced_crc_matches_bytewise_reference() {
+        let data: Vec<u8> = (0..64u32).map(|i| (i * 73 + 5) as u8).collect();
+        for len in 0..=64 {
+            assert_eq!(
+                crc32(&data[..len]),
+                crc32_reference(&data[..len]),
+                "len={len}"
+            );
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for round in 0..3 {
+            let len = (1 << 20) + round * 3;
+            let buf: Vec<u8> = (0..len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state as u8
+                })
+                .collect();
+            let expected = crc32_reference(&buf);
+            assert_eq!(crc32(&buf), expected, "1 MiB buffer {round}");
+            // Split feeding at aligned, ragged and degenerate cut points.
+            for cut in [0, 1, 7, 8, 4096 + 3, len / 2, len - 1, len] {
+                let split = crc32_update(crc32(&buf[..cut]), &buf[cut..]);
+                assert_eq!(split, expected, "cut={cut}");
+            }
+            let pieces = buf.chunks(1000 + round).fold(0, crc32_update);
+            assert_eq!(pieces, expected);
+        }
     }
 }
