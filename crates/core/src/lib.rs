@@ -33,10 +33,12 @@
 //!   time cost model behind Figure 9.
 //! * [`timing`] — calibrated operation costs.
 //! * [`attacks`] — attack-injection drivers for the Table 3 experiments.
-//! * [`multi_rp`] — the §4.7 multi-partition extension.
 //! * [`platform`] — the multi-tenant control plane: shared platform
 //!   resources behind service traits, the device fleet, and the
-//!   tenant deployment scheduler with warm redeploys.
+//!   tenant deployment scheduler with warm redeploys. It also carries
+//!   the §4.7 multi-partition extension: co-resident tenants on one
+//!   board's partitions, the first redeeming the device key (cold
+//!   boot), the rest booting warm off the fleet's key cache.
 //! * [`related`] — the qualitative comparison data behind Table 1.
 //!
 //! ## Quickstart
@@ -63,7 +65,6 @@ pub mod dev;
 pub mod instance;
 pub mod keys;
 pub mod manufacturer;
-pub mod multi_rp;
 pub mod platform;
 pub mod ra;
 pub mod reg_channel;

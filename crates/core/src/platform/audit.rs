@@ -3,23 +3,14 @@
 //! Every consequential control-plane action — deploys (cold, warm, and
 //! failed), evictions, health transitions, window faults, runtime
 //! re-attestation challenges and their verdicts, session and lane
-//! fences — is appended as an [`AuditRecord`]: sequence number, virtual
-//! timestamp, the previous record's digest, and the event itself. Each
-//! record's digest covers all of those fields under a domain-separated
-//! SHA-256, so the log forms a hash chain anchored at a fixed genesis
-//! digest: mutating, reordering, or truncating any prefix of the log is
-//! detectable from the chain head alone.
-//!
-//! [`AuditLog::verify_chain`] re-walks the chain and pinpoints the
-//! first record where it breaks; [`AuditLog::to_bytes`] /
-//! [`AuditLog::from_bytes`] give a canonical serialization so two
-//! control planes driven by the same seed can be compared
-//! byte-for-byte.
+//! fences — is appended to the [`AuditLog`], a [`HashChain`] of
+//! [`AuditEvent`]s under the audit domain separators. The chain itself
+//! (record framing, first-bad-record verification, canonical bytes) is
+//! [`super::chain`]; this module holds the events and their codec.
 
-use std::time::Duration;
-
-use salus_crypto::sha256::{Digest, Sha256};
-
+use super::chain::{
+    push_path, push_slot, push_str, push_u64, ChainEntry, ChainRecord, Cursor, HashChain,
+};
 use super::fleet::{DeployPath, DeviceId, SlotId, TenantId};
 use super::health::HealthState;
 use crate::runtime_attest::ChallengeVerdict;
@@ -158,28 +149,6 @@ const TAG_PLACEMENT_REFUSED: u8 = 11;
 const TAG_DEPLOY_ABANDONED: u8 = 12;
 const TAG_RECOVERY_COMPLETED: u8 = 13;
 
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    push_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn push_slot(out: &mut Vec<u8>, slot: SlotId) {
-    push_u64(out, slot.device as u64);
-    push_u64(out, slot.partition as u64);
-}
-
-fn path_tag(path: DeployPath) -> u8 {
-    match path {
-        DeployPath::Cold => 0,
-        DeployPath::WarmKey => 1,
-        DeployPath::WarmImage => 2,
-    }
-}
-
 fn health_tag(state: HealthState) -> u8 {
     match state {
         HealthState::Healthy => 0,
@@ -196,108 +165,48 @@ fn verdict_tag(verdict: ChallengeVerdict) -> u8 {
     }
 }
 
-/// Bounded little-endian reader over a serialized log.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
+/// Tag byte, tenant and slot: the head most events share.
+fn push_tenant_slot(out: &mut Vec<u8>, tag: u8, tenant: TenantId, slot: SlotId) {
+    out.push(tag);
+    push_u64(out, tenant.0);
+    push_slot(out, slot);
 }
 
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor { bytes, at: 0 }
-    }
+/// Canonical event bytes: one tag byte, then the fields in declaration
+/// order, little-endian, strings length-prefixed.
+impl ChainEntry for AuditEvent {
+    const MAGIC: &'static [u8; 16] = b"salus-audit-log\0";
+    const GENESIS: &'static [u8] = b"salus-audit-genesis";
+    const RECORD_DOMAIN: &'static [u8] = b"salus-audit-record";
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SalusError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or(SalusError::AuditChainBroken("truncated record bytes"))?;
-        let out = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, SalusError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64, SalusError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn u128(&mut self) -> Result<u128, SalusError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    fn digest(&mut self) -> Result<Digest, SalusError> {
-        Ok(self.take(32)?.try_into().unwrap())
-    }
-
-    fn string(&mut self) -> Result<String, SalusError> {
-        let len = self.u64()?;
-        let len = usize::try_from(len)
-            .ok()
-            .filter(|&l| l <= self.bytes.len())
-            .ok_or(SalusError::AuditChainBroken("oversized string length"))?;
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| SalusError::AuditChainBroken("non-utf8 string"))
-    }
-
-    fn slot(&mut self) -> Result<SlotId, SalusError> {
-        Ok(SlotId {
-            device: self.u64()? as usize,
-            partition: self.u64()? as usize,
-        })
-    }
-
-    fn done(&self) -> bool {
-        self.at == self.bytes.len()
-    }
-}
-
-impl AuditEvent {
-    /// Canonical byte encoding: one tag byte, then the fields in
-    /// declaration order, little-endian, strings length-prefixed.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn encode(&self, out: &mut Vec<u8>) {
         match self {
             AuditEvent::Deploy { tenant, slot, path } => {
-                out.push(TAG_DEPLOY);
-                push_u64(&mut out, tenant.0);
-                push_slot(&mut out, *slot);
-                out.push(path_tag(*path));
+                push_tenant_slot(out, TAG_DEPLOY, *tenant, *slot);
+                push_path(out, Some(*path));
             }
             AuditEvent::DeployFailed {
                 tenant,
                 slot,
                 error,
             } => {
-                out.push(TAG_DEPLOY_FAILED);
-                push_u64(&mut out, tenant.0);
-                push_slot(&mut out, *slot);
-                push_str(&mut out, error);
+                push_tenant_slot(out, TAG_DEPLOY_FAILED, *tenant, *slot);
+                push_str(out, error);
             }
             AuditEvent::DeploySuspended { tenant, slot, step } => {
-                out.push(TAG_DEPLOY_SUSPENDED);
-                push_u64(&mut out, tenant.0);
-                push_slot(&mut out, *slot);
-                push_str(&mut out, step);
+                push_tenant_slot(out, TAG_DEPLOY_SUSPENDED, *tenant, *slot);
+                push_str(out, step);
             }
             AuditEvent::Evicted { tenant, slot } => {
-                out.push(TAG_EVICTED);
-                push_u64(&mut out, tenant.0);
-                push_slot(&mut out, *slot);
+                push_tenant_slot(out, TAG_EVICTED, *tenant, *slot);
             }
             AuditEvent::HealthTransition { device, state } => {
                 out.push(TAG_HEALTH);
-                push_u64(&mut out, *device as u64);
+                push_u64(out, *device as u64);
                 out.push(health_tag(*state));
             }
             AuditEvent::WindowFault { tenant, slot } => {
-                out.push(TAG_WINDOW_FAULT);
-                push_u64(&mut out, tenant.0);
-                push_slot(&mut out, *slot);
+                push_tenant_slot(out, TAG_WINDOW_FAULT, *tenant, *slot);
             }
             AuditEvent::AttestChallenge {
                 epoch,
@@ -306,10 +215,10 @@ impl AuditEvent {
                 token,
             } => {
                 out.push(TAG_ATTEST_CHALLENGE);
-                push_u64(&mut out, *epoch);
-                push_u64(&mut out, tenant.0);
-                push_slot(&mut out, *slot);
-                push_u64(&mut out, *token);
+                push_u64(out, *epoch);
+                push_u64(out, tenant.0);
+                push_slot(out, *slot);
+                push_u64(out, *token);
             }
             AuditEvent::AttestOutcome {
                 epoch,
@@ -318,46 +227,39 @@ impl AuditEvent {
                 verdict,
             } => {
                 out.push(TAG_ATTEST_OUTCOME);
-                push_u64(&mut out, *epoch);
-                push_u64(&mut out, tenant.0);
-                push_slot(&mut out, *slot);
+                push_u64(out, *epoch);
+                push_u64(out, tenant.0);
+                push_slot(out, *slot);
                 out.push(verdict_tag(*verdict));
             }
             AuditEvent::SessionFenced { tenant, slot } => {
-                out.push(TAG_SESSION_FENCED);
-                push_u64(&mut out, tenant.0);
-                push_slot(&mut out, *slot);
+                push_tenant_slot(out, TAG_SESSION_FENCED, *tenant, *slot);
             }
             AuditEvent::LaneFenced {
                 tenant,
                 slot,
                 drained,
             } => {
-                out.push(TAG_LANE_FENCED);
-                push_u64(&mut out, tenant.0);
-                push_slot(&mut out, *slot);
-                push_u64(&mut out, *drained);
+                push_tenant_slot(out, TAG_LANE_FENCED, *tenant, *slot);
+                push_u64(out, *drained);
             }
             AuditEvent::PlacementRefused { tenant, reason } => {
                 out.push(TAG_PLACEMENT_REFUSED);
-                push_u64(&mut out, tenant.0);
-                push_str(&mut out, reason);
+                push_u64(out, tenant.0);
+                push_str(out, reason);
             }
             AuditEvent::DeployAbandoned { tenant, slot } => {
-                out.push(TAG_DEPLOY_ABANDONED);
-                push_u64(&mut out, tenant.0);
-                push_slot(&mut out, *slot);
+                push_tenant_slot(out, TAG_DEPLOY_ABANDONED, *tenant, *slot);
             }
             AuditEvent::RecoveryCompleted {
                 replayed,
                 rolled_back,
             } => {
                 out.push(TAG_RECOVERY_COMPLETED);
-                push_u64(&mut out, *replayed);
-                push_u64(&mut out, *rolled_back);
+                push_u64(out, *replayed);
+                push_u64(out, *rolled_back);
             }
         }
-        out
     }
 
     fn decode(cur: &mut Cursor<'_>) -> Result<AuditEvent, SalusError> {
@@ -366,12 +268,7 @@ impl AuditEvent {
             TAG_DEPLOY => AuditEvent::Deploy {
                 tenant: TenantId(cur.u64()?),
                 slot: cur.slot()?,
-                path: match cur.u8()? {
-                    0 => DeployPath::Cold,
-                    1 => DeployPath::WarmKey,
-                    2 => DeployPath::WarmImage,
-                    _ => return Err(SalusError::AuditChainBroken("unknown deploy path")),
-                },
+                path: cur.path()?.ok_or(cur.error("unknown deploy path"))?,
             },
             TAG_DEPLOY_FAILED => AuditEvent::DeployFailed {
                 tenant: TenantId(cur.u64()?),
@@ -393,7 +290,7 @@ impl AuditEvent {
                     0 => HealthState::Healthy,
                     1 => HealthState::Probation,
                     2 => HealthState::Quarantined,
-                    _ => return Err(SalusError::AuditChainBroken("unknown health state")),
+                    _ => return Err(cur.error("unknown health state")),
                 },
             },
             TAG_WINDOW_FAULT => AuditEvent::WindowFault {
@@ -414,7 +311,7 @@ impl AuditEvent {
                     0 => ChallengeVerdict::Alive,
                     1 => ChallengeVerdict::Compromised,
                     2 => ChallengeVerdict::TimedOut,
-                    _ => return Err(SalusError::AuditChainBroken("unknown verdict")),
+                    _ => return Err(cur.error("unknown verdict")),
                 },
             },
             TAG_SESSION_FENCED => AuditEvent::SessionFenced {
@@ -438,492 +335,54 @@ impl AuditEvent {
                 replayed: cur.u64()?,
                 rolled_back: cur.u64()?,
             },
-            _ => return Err(SalusError::AuditChainBroken("unknown event tag")),
+            _ => return Err(cur.error("unknown event tag")),
         })
     }
-}
 
-/// One hash-chained entry of the audit log. All fields are public for
-/// observers (and for tamper-evidence tests, which rebuild logs from
-/// deliberately corrupted records via [`AuditLog::from_records`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuditRecord {
-    /// Position in the chain, starting at 0.
-    pub seq: u64,
-    /// Virtual timestamp the event was appended at.
-    pub at: Duration,
-    /// Digest of the previous record ([`AuditLog::GENESIS`] for the
-    /// first).
-    pub prev_digest: Digest,
-    /// The event itself.
-    pub event: AuditEvent,
-    /// Domain-separated SHA-256 over seq, timestamp, `prev_digest`, and
-    /// the canonical event bytes.
-    pub digest: Digest,
-}
-
-impl AuditRecord {
-    /// Recomputes what this record's digest must be from its own
-    /// fields.
-    pub fn expected_digest(&self) -> Digest {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"salus-audit-record");
-        push_u64(&mut buf, self.seq);
-        buf.extend_from_slice(&self.at.as_nanos().to_le_bytes());
-        buf.extend_from_slice(&self.prev_digest);
-        buf.extend_from_slice(&self.event.to_bytes());
-        Sha256::digest(&buf)
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        push_u64(out, self.seq);
-        out.extend_from_slice(&self.at.as_nanos().to_le_bytes());
-        out.extend_from_slice(&self.prev_digest);
-        let event = self.event.to_bytes();
-        push_u64(out, event.len() as u64);
-        out.extend_from_slice(&event);
-        out.extend_from_slice(&self.digest);
-    }
-
-    fn decode(cur: &mut Cursor<'_>) -> Result<AuditRecord, SalusError> {
-        let seq = cur.u64()?;
-        let at_nanos = cur.u128()?;
-        let at = Duration::from_nanos(
-            u64::try_from(at_nanos)
-                .map_err(|_| SalusError::AuditChainBroken("timestamp out of range"))?,
-        );
-        let prev_digest = cur.digest()?;
-        let event_len = cur.u64()?;
-        let event_len = usize::try_from(event_len)
-            .map_err(|_| SalusError::AuditChainBroken("oversized event length"))?;
-        let event_bytes = cur.take(event_len)?;
-        let mut event_cur = Cursor::new(event_bytes);
-        let event = AuditEvent::decode(&mut event_cur)?;
-        if !event_cur.done() {
-            return Err(SalusError::AuditChainBroken("trailing event bytes"));
-        }
-        let digest = cur.digest()?;
-        Ok(AuditRecord {
-            seq,
-            at,
-            prev_digest,
-            event,
-            digest,
-        })
+    fn error(reason: &'static str) -> SalusError {
+        SalusError::AuditChainBroken(reason)
     }
 }
 
-/// Where [`AuditLog::verify_chain`] found the chain broken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChainFault {
-    /// Index of the first record that fails verification.
-    pub index: usize,
-    /// What is wrong with it.
-    pub reason: &'static str,
-}
+/// One hash-chained entry of the audit log.
+pub type AuditRecord = ChainRecord<AuditEvent>;
 
-impl std::fmt::Display for ChainFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "audit record {}: {}", self.index, self.reason)
-    }
-}
-
-impl From<ChainFault> for SalusError {
-    fn from(fault: ChainFault) -> SalusError {
-        SalusError::AuditChainBroken(fault.reason)
-    }
-}
-
-/// The append-only hash chain itself.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AuditLog {
-    records: Vec<AuditRecord>,
-}
-
-impl AuditLog {
-    /// An empty log.
-    pub fn new() -> AuditLog {
-        AuditLog::default()
-    }
-
-    /// The fixed digest the first record chains from.
-    pub fn genesis() -> Digest {
-        Sha256::digest(b"salus-audit-genesis")
-    }
-
-    /// Rebuilds a log from raw records *without* verifying them — for
-    /// tamper-evidence tests and external verifiers; run
-    /// [`verify_chain`](AuditLog::verify_chain) afterwards.
-    pub fn from_records(records: Vec<AuditRecord>) -> AuditLog {
-        AuditLog { records }
-    }
-
-    /// Appends `event` at virtual time `at` and returns the new chain
-    /// head.
-    pub fn append(&mut self, at: Duration, event: AuditEvent) -> Digest {
-        let prev_digest = self.head();
-        let mut record = AuditRecord {
-            seq: self.records.len() as u64,
-            at,
-            prev_digest,
-            event,
-            digest: [0; 32],
-        };
-        record.digest = record.expected_digest();
-        let head = record.digest;
-        self.records.push(record);
-        head
-    }
-
-    /// The digest of the latest record (the genesis digest when empty).
-    /// Anchoring this head externally commits to the entire history.
-    pub fn head(&self) -> Digest {
-        self.records
-            .last()
-            .map(|r| r.digest)
-            .unwrap_or_else(AuditLog::genesis)
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when no event was ever appended.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The records, oldest first.
-    pub fn records(&self) -> &[AuditRecord] {
-        &self.records
-    }
-
-    /// Walks the whole chain and reports the first record that breaks
-    /// it: wrong genesis anchor, non-contiguous sequence numbers,
-    /// time running backwards, a digest that does not match the
-    /// record's own fields, or a record not chaining from its
-    /// predecessor's digest.
-    ///
-    /// # Errors
-    ///
-    /// [`ChainFault`] naming the first bad record.
-    pub fn verify_chain(&self) -> Result<(), ChainFault> {
-        let mut prev_digest = AuditLog::genesis();
-        let mut prev_at = Duration::ZERO;
-        for (index, record) in self.records.iter().enumerate() {
-            if record.seq != index as u64 {
-                return Err(ChainFault {
-                    index,
-                    reason: "sequence number out of order",
-                });
-            }
-            if record.at < prev_at {
-                return Err(ChainFault {
-                    index,
-                    reason: "timestamp runs backwards",
-                });
-            }
-            if record.prev_digest != prev_digest {
-                return Err(ChainFault {
-                    index,
-                    reason: "does not chain from predecessor",
-                });
-            }
-            if record.digest != record.expected_digest() {
-                return Err(ChainFault {
-                    index,
-                    reason: "digest does not match record contents",
-                });
-            }
-            prev_digest = record.digest;
-            prev_at = record.at;
-        }
-        Ok(())
-    }
-
-    /// Canonical serialization of the whole log: record count, then
-    /// each record's fields little-endian. Two logs holding the same
-    /// history serialize identically.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"salus-audit-log\0");
-        push_u64(&mut out, self.records.len() as u64);
-        for record in &self.records {
-            record.encode(&mut out);
-        }
-        out
-    }
-
-    /// Decodes a serialized log. Decoding checks structure only; run
-    /// [`verify_chain`](AuditLog::verify_chain) on the result to check
-    /// integrity.
-    ///
-    /// # Errors
-    ///
-    /// [`SalusError::AuditChainBroken`] on any malformed framing.
-    pub fn from_bytes(bytes: &[u8]) -> Result<AuditLog, SalusError> {
-        let mut cur = Cursor::new(bytes);
-        if cur.take(16)? != b"salus-audit-log\0".as_slice() {
-            return Err(SalusError::AuditChainBroken("bad log magic"));
-        }
-        let count = cur.u64()?;
-        let count = usize::try_from(count)
-            .ok()
-            .filter(|&c| c <= bytes.len())
-            .ok_or(SalusError::AuditChainBroken("implausible record count"))?;
-        let mut records = Vec::with_capacity(count);
-        for _ in 0..count {
-            records.push(AuditRecord::decode(&mut cur)?);
-        }
-        if !cur.done() {
-            return Err(SalusError::AuditChainBroken("trailing log bytes"));
-        }
-        Ok(AuditLog { records })
-    }
-}
+/// The append-only audit hash chain. [`AuditLog::verify_chain`]
+/// pinpoints the first broken record; [`AuditLog::to_bytes`] gives the
+/// canonical serialization two same-seed control planes are compared
+/// by.
+pub type AuditLog = HashChain<AuditEvent>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use salus_net::fault::SplitMix64;
-
-    fn slot(device: usize, partition: usize) -> SlotId {
-        SlotId { device, partition }
-    }
-
-    /// A small, varied event stream drawn from a seeded generator.
-    fn seeded_events(seed: u64, n: usize) -> Vec<(Duration, AuditEvent)> {
-        let mut rng = SplitMix64::new(seed);
-        let mut at = Duration::ZERO;
-        (0..n)
-            .map(|i| {
-                at += Duration::from_millis(rng.below(50));
-                let tenant = TenantId(rng.below(4));
-                let s = slot(rng.below(3) as usize, rng.below(2) as usize);
-                let event = match rng.below(13) {
-                    0 => AuditEvent::Deploy {
-                        tenant,
-                        slot: s,
-                        path: match rng.below(3) {
-                            0 => DeployPath::Cold,
-                            1 => DeployPath::WarmKey,
-                            _ => DeployPath::WarmImage,
-                        },
-                    },
-                    1 => AuditEvent::DeployFailed {
-                        tenant,
-                        slot: s,
-                        error: format!("boot error {i}"),
-                    },
-                    2 => AuditEvent::DeploySuspended {
-                        tenant,
-                        slot: s,
-                        step: format!("step-{}", rng.below(19)),
-                    },
-                    3 => AuditEvent::Evicted { tenant, slot: s },
-                    4 => AuditEvent::HealthTransition {
-                        device: s.device,
-                        state: match rng.below(3) {
-                            0 => HealthState::Healthy,
-                            1 => HealthState::Probation,
-                            _ => HealthState::Quarantined,
-                        },
-                    },
-                    5 => AuditEvent::WindowFault { tenant, slot: s },
-                    6 => AuditEvent::AttestChallenge {
-                        epoch: rng.below(9),
-                        tenant,
-                        slot: s,
-                        token: rng.next_u64(),
-                    },
-                    7 => AuditEvent::AttestOutcome {
-                        epoch: rng.below(9),
-                        tenant,
-                        slot: s,
-                        verdict: match rng.below(3) {
-                            0 => ChallengeVerdict::Alive,
-                            1 => ChallengeVerdict::Compromised,
-                            _ => ChallengeVerdict::TimedOut,
-                        },
-                    },
-                    8 => AuditEvent::SessionFenced { tenant, slot: s },
-                    9 => AuditEvent::LaneFenced {
-                        tenant,
-                        slot: s,
-                        drained: rng.below(5),
-                    },
-                    10 => AuditEvent::PlacementRefused {
-                        tenant,
-                        reason: format!("refusal {i}"),
-                    },
-                    11 => AuditEvent::DeployAbandoned { tenant, slot: s },
-                    _ => AuditEvent::RecoveryCompleted {
-                        replayed: rng.below(20),
-                        rolled_back: rng.below(3),
-                    },
-                };
-                (at, event)
-            })
-            .collect()
-    }
-
-    fn seeded_log(seed: u64, n: usize) -> AuditLog {
-        let mut log = AuditLog::new();
-        for (at, event) in seeded_events(seed, n) {
-            log.append(at, event);
-        }
-        log
-    }
+    use std::time::Duration;
 
     #[test]
-    fn empty_log_verifies_and_anchors_at_genesis() {
-        let log = AuditLog::new();
-        assert!(log.is_empty());
-        assert_eq!(log.head(), AuditLog::genesis());
-        log.verify_chain().unwrap();
-    }
-
-    #[test]
-    fn appended_chain_verifies_and_head_commits_to_history() {
-        let log = seeded_log(11, 40);
-        assert_eq!(log.len(), 40);
-        log.verify_chain().unwrap();
-        assert_eq!(log.head(), log.records().last().unwrap().digest);
-
-        // Same events ⇒ same bytes and same head; one differing event
-        // anywhere ⇒ different head.
-        let again = seeded_log(11, 40);
-        assert_eq!(log.to_bytes(), again.to_bytes());
-        assert_eq!(log.head(), again.head());
-        let other = seeded_log(12, 40);
-        assert_ne!(log.head(), other.head());
-    }
-
-    #[test]
-    fn mutated_event_is_pinpointed_at_its_record() {
-        let log = seeded_log(21, 12);
-        let mut records = log.records().to_vec();
-        records[5].event = AuditEvent::Evicted {
-            tenant: TenantId(999),
-            slot: slot(0, 0),
-        };
-        let fault = AuditLog::from_records(records).verify_chain().unwrap_err();
-        assert_eq!(fault.index, 5);
-        assert_eq!(fault.reason, "digest does not match record contents");
-    }
-
-    #[test]
-    fn reordered_records_are_pinpointed_at_first_displacement() {
-        let log = seeded_log(22, 12);
-        let mut records = log.records().to_vec();
-        records.swap(3, 4);
-        let fault = AuditLog::from_records(records).verify_chain().unwrap_err();
-        assert_eq!(fault.index, 3, "first displaced record: {fault}");
-    }
-
-    #[test]
-    fn truncation_in_the_middle_is_detected() {
-        let log = seeded_log(23, 12);
-        let mut records = log.records().to_vec();
-        records.remove(6);
-        let fault = AuditLog::from_records(records).verify_chain().unwrap_err();
-        assert_eq!(fault.index, 6, "first record after the gap: {fault}");
-
-        // Truncating the *tail* silently is exactly what the exported
-        // chain head defends against: the shortened log still verifies,
-        // but its head no longer matches the anchored one.
-        let mut tail_cut = log.records().to_vec();
-        tail_cut.truncate(8);
-        let shorter = AuditLog::from_records(tail_cut);
-        shorter.verify_chain().unwrap();
-        assert_ne!(shorter.head(), log.head());
-    }
-
-    #[test]
-    fn forged_digest_cannot_restitch_a_mutated_record() {
-        // Re-sealing a mutated record's own digest breaks the *next*
-        // record's chain link instead.
-        let log = seeded_log(24, 12);
-        let mut records = log.records().to_vec();
-        records[5].event = AuditEvent::WindowFault {
-            tenant: TenantId(7),
-            slot: slot(1, 1),
-        };
-        records[5].digest = records[5].expected_digest();
-        let fault = AuditLog::from_records(records).verify_chain().unwrap_err();
-        assert_eq!(fault.index, 6);
-        assert_eq!(fault.reason, "does not chain from predecessor");
-    }
-
-    #[test]
-    fn roundtrip_preserves_records_and_verdict() {
-        let log = seeded_log(31, 25);
-        let decoded = AuditLog::from_bytes(&log.to_bytes()).unwrap();
-        assert_eq!(decoded, log);
-        decoded.verify_chain().unwrap();
-    }
-
-    #[test]
-    fn every_single_bit_flip_of_a_serialized_log_is_rejected() {
-        // Exhaustive over a small log: flip every bit of the canonical
-        // serialization; each flip must fail to decode or fail
-        // verify_chain — never verify clean.
-        let log = seeded_log(41, 3);
-        let bytes = log.to_bytes();
-        for bit in 0..bytes.len() * 8 {
-            let mut tampered = bytes.clone();
-            tampered[bit / 8] ^= 1 << (bit % 8);
-            let survived = match AuditLog::from_bytes(&tampered) {
-                Err(_) => false,
-                Ok(decoded) => decoded.verify_chain().is_ok(),
-            };
-            assert!(!survived, "bit flip {bit} went undetected");
-        }
-    }
-
-    #[test]
-    fn seeded_property_streams_verify_roundtrip_and_reject_random_flips() {
-        for seed in 0..20u64 {
-            let log = seeded_log(seed, 30);
-            log.verify_chain()
-                .unwrap_or_else(|f| panic!("seed {seed}: {f}"));
-            let bytes = log.to_bytes();
-            assert_eq!(AuditLog::from_bytes(&bytes).unwrap(), log);
-
-            // One seeded random bit flip per stream.
-            let mut rng = SplitMix64::new(seed ^ 0xF1_1B);
-            let bit = rng.below((bytes.len() * 8) as u64) as usize;
-            let mut tampered = bytes.clone();
-            tampered[bit / 8] ^= 1 << (bit % 8);
-            let survived = match AuditLog::from_bytes(&tampered) {
-                Err(_) => false,
-                Ok(decoded) => decoded.verify_chain().is_ok(),
-            };
-            assert!(!survived, "seed {seed}: bit flip {bit} went undetected");
-        }
-    }
-
-    #[test]
-    fn timestamps_must_be_monotone() {
+    fn deploy_events_refuse_the_journal_none_path_tag() {
+        // The deploy-path codec is shared with the journal, whose
+        // commits may carry no path (tag 255); an audited deploy always
+        // has one.
         let mut log = AuditLog::new();
         log.append(
-            Duration::from_secs(5),
-            AuditEvent::Evicted {
+            Duration::ZERO,
+            AuditEvent::Deploy {
                 tenant: TenantId(1),
-                slot: slot(0, 0),
+                slot: SlotId {
+                    device: 0,
+                    partition: 0,
+                },
+                path: DeployPath::WarmKey,
             },
         );
-        log.append(
-            Duration::from_secs(4),
-            AuditEvent::Evicted {
-                tenant: TenantId(2),
-                slot: slot(0, 1),
-            },
+        let mut bytes = log.to_bytes();
+        // magic + count + seq + at + prev + len, then tag, tenant, slot.
+        let path_at = 16 + 8 + 8 + 16 + 32 + 8 + 1 + 8 + 16;
+        assert_eq!(bytes[path_at], 1);
+        bytes[path_at] = 255;
+        assert_eq!(
+            AuditLog::from_bytes(&bytes),
+            Err(SalusError::AuditChainBroken("unknown deploy path"))
         );
-        // Append is trusting; verification is not.
-        let fault = log.verify_chain().unwrap_err();
-        assert_eq!(fault.index, 1);
-        assert_eq!(fault.reason, "timestamp runs backwards");
     }
 }

@@ -2065,7 +2065,7 @@ mod tests {
         log.verify_chain().unwrap();
         assert!(
             log.records().iter().any(|r| matches!(
-                &r.event,
+                &r.entry,
                 AuditEvent::PlacementRefused { tenant, .. } if *tenant == bob
             )),
             "cross-family refusal must be audited"
@@ -2093,7 +2093,7 @@ mod tests {
 
         let log = plane.audit_log();
         log.verify_chain().unwrap();
-        let events: Vec<AuditEvent> = log.records().iter().map(|r| r.event.clone()).collect();
+        let events: Vec<AuditEvent> = log.records().iter().map(|r| r.entry.clone()).collect();
         assert_eq!(
             events,
             vec![
@@ -2134,13 +2134,13 @@ mod tests {
 
         let log = plane.audit_log();
         log.verify_chain().unwrap();
-        assert!(log.records().iter().any(|r| r.event
+        assert!(log.records().iter().any(|r| r.entry
             == AuditEvent::SessionFenced {
                 tenant: alice,
                 slot
             }));
         assert!(log.records().iter().any(|r| matches!(
-            r.event,
+            r.entry,
             AuditEvent::HealthTransition {
                 state: HealthState::Quarantined,
                 ..

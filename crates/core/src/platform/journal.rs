@@ -11,20 +11,21 @@
 //! and tenant records, and rolls back — or rolls forward, when the
 //! effects are durably present — whatever was still open.
 //!
-//! Records are SHA-256 hash-chained exactly like the audit log
-//! (`platform::audit`): sequence number, virtual timestamp, previous
-//! digest, and the entry itself, digested under a journal-specific
-//! domain separator. [`Journal::verify`] pinpoints the first forged,
-//! reordered, or truncated record — including a commit or abort that
-//! references an intent the journal never opened — and
-//! [`Journal::to_bytes`] / [`Journal::from_bytes`] give a canonical
-//! serialization that rejects any bit flip.
+//! Records live on a [`HashChain`] of [`JournalEntry`]s under the
+//! journal's own domain separators (the chain framing is
+//! [`super::chain`]). [`Journal::verify`] runs the chain walk and then
+//! the op-structure checks — a commit, abort, or suspend must reference
+//! an intent the journal opened and has not yet settled.
 
 use std::collections::HashMap;
 use std::time::Duration;
 
-use salus_crypto::sha256::{Digest, Sha256};
+use salus_crypto::sha256::Digest;
 
+use super::chain::{
+    push_duration, push_path, push_slot, push_str, push_u64, ChainEntry, ChainFault, ChainRecord,
+    Cursor, HashChain,
+};
 use super::fleet::{DeployPath, SlotId, TenantId};
 use crate::SalusError;
 
@@ -199,197 +200,72 @@ const OP_REDEPLOY: u8 = 5;
 const OP_FENCE: u8 = 6;
 const OP_ABANDON: u8 = 7;
 
-const PATH_NONE: u8 = 255;
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    push_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn push_slot(out: &mut Vec<u8>, slot: SlotId) {
-    push_u64(out, slot.device as u64);
-    push_u64(out, slot.partition as u64);
-}
-
-fn path_tag(path: Option<DeployPath>) -> u8 {
-    match path {
-        None => PATH_NONE,
-        Some(DeployPath::Cold) => 0,
-        Some(DeployPath::WarmKey) => 1,
-        Some(DeployPath::WarmImage) => 2,
-    }
-}
-
-/// Bounded little-endian reader over a serialized journal.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor { bytes, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SalusError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or(SalusError::JournalCorrupt("truncated record bytes"))?;
-        let out = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, SalusError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64, SalusError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn u128(&mut self) -> Result<u128, SalusError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    fn digest(&mut self) -> Result<Digest, SalusError> {
-        Ok(self.take(32)?.try_into().unwrap())
-    }
-
-    fn string(&mut self) -> Result<String, SalusError> {
-        let len = self.u64()?;
-        let len = usize::try_from(len)
-            .ok()
-            .filter(|&l| l <= self.bytes.len())
-            .ok_or(SalusError::JournalCorrupt("oversized string length"))?;
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| SalusError::JournalCorrupt("non-utf8 string"))
-    }
-
-    fn slot(&mut self) -> Result<SlotId, SalusError> {
-        Ok(SlotId {
-            device: self.u64()? as usize,
-            partition: self.u64()? as usize,
-        })
-    }
-
-    fn duration(&mut self) -> Result<Duration, SalusError> {
-        let nanos = self.u128()?;
-        Ok(Duration::from_nanos(u64::try_from(nanos).map_err(
-            |_| SalusError::JournalCorrupt("duration out of range"),
-        )?))
-    }
-
-    fn done(&self) -> bool {
-        self.at == self.bytes.len()
-    }
-}
-
 impl IntentOp {
     fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            IntentOp::Register { tenant, name, seed } => {
-                out.push(OP_REGISTER);
-                push_u64(out, tenant.0);
-                push_str(out, name);
-                push_u64(out, *seed);
-            }
-            IntentOp::Deploy { tenant, slot } => {
-                out.push(OP_DEPLOY);
-                push_u64(out, tenant.0);
-                push_slot(out, *slot);
-            }
-            IntentOp::Resume { tenant, slot } => {
-                out.push(OP_RESUME);
-                push_u64(out, tenant.0);
-                push_slot(out, *slot);
-            }
-            IntentOp::Evict { tenant, slot } => {
-                out.push(OP_EVICT);
-                push_u64(out, tenant.0);
-                push_slot(out, *slot);
-            }
-            IntentOp::Redeploy { tenant, slot } => {
-                out.push(OP_REDEPLOY);
-                push_u64(out, tenant.0);
-                push_slot(out, *slot);
-            }
-            IntentOp::Fence { tenant, slot } => {
-                out.push(OP_FENCE);
-                push_u64(out, tenant.0);
-                push_slot(out, *slot);
-            }
-            IntentOp::Abandon { tenant, slot } => {
-                out.push(OP_ABANDON);
-                push_u64(out, tenant.0);
-                push_slot(out, *slot);
-            }
+        out.push(match self {
+            IntentOp::Register { .. } => OP_REGISTER,
+            IntentOp::Deploy { .. } => OP_DEPLOY,
+            IntentOp::Resume { .. } => OP_RESUME,
+            IntentOp::Evict { .. } => OP_EVICT,
+            IntentOp::Redeploy { .. } => OP_REDEPLOY,
+            IntentOp::Fence { .. } => OP_FENCE,
+            IntentOp::Abandon { .. } => OP_ABANDON,
+        });
+        push_u64(out, self.tenant().0);
+        if let IntentOp::Register { name, seed, .. } = self {
+            push_str(out, name);
+            push_u64(out, *seed);
+        }
+        if let Some(slot) = self.slot() {
+            push_slot(out, slot);
         }
     }
 
     fn decode(cur: &mut Cursor<'_>) -> Result<IntentOp, SalusError> {
-        Ok(match cur.u8()? {
-            OP_REGISTER => IntentOp::Register {
-                tenant: TenantId(cur.u64()?),
-                name: cur.string()?,
-                seed: cur.u64()?,
-            },
-            OP_DEPLOY => IntentOp::Deploy {
-                tenant: TenantId(cur.u64()?),
-                slot: cur.slot()?,
-            },
-            OP_RESUME => IntentOp::Resume {
-                tenant: TenantId(cur.u64()?),
-                slot: cur.slot()?,
-            },
-            OP_EVICT => IntentOp::Evict {
-                tenant: TenantId(cur.u64()?),
-                slot: cur.slot()?,
-            },
-            OP_REDEPLOY => IntentOp::Redeploy {
-                tenant: TenantId(cur.u64()?),
-                slot: cur.slot()?,
-            },
-            OP_FENCE => IntentOp::Fence {
-                tenant: TenantId(cur.u64()?),
-                slot: cur.slot()?,
-            },
-            OP_ABANDON => IntentOp::Abandon {
-                tenant: TenantId(cur.u64()?),
-                slot: cur.slot()?,
-            },
-            _ => return Err(SalusError::JournalCorrupt("unknown intent op")),
-        })
+        let make: fn(TenantId, SlotId) -> IntentOp = match cur.u8()? {
+            OP_REGISTER => {
+                return Ok(IntentOp::Register {
+                    tenant: TenantId(cur.u64()?),
+                    name: cur.string()?,
+                    seed: cur.u64()?,
+                })
+            }
+            OP_DEPLOY => |tenant, slot| IntentOp::Deploy { tenant, slot },
+            OP_RESUME => |tenant, slot| IntentOp::Resume { tenant, slot },
+            OP_EVICT => |tenant, slot| IntentOp::Evict { tenant, slot },
+            OP_REDEPLOY => |tenant, slot| IntentOp::Redeploy { tenant, slot },
+            OP_FENCE => |tenant, slot| IntentOp::Fence { tenant, slot },
+            OP_ABANDON => |tenant, slot| IntentOp::Abandon { tenant, slot },
+            _ => return Err(cur.error("unknown intent op")),
+        };
+        Ok(make(TenantId(cur.u64()?), cur.slot()?))
     }
 }
 
-impl JournalEntry {
-    /// Canonical byte encoding: one tag byte, then the fields in
-    /// declaration order, little-endian, strings length-prefixed.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+/// Canonical entry bytes: one tag byte, then the fields in declaration
+/// order, little-endian, strings length-prefixed.
+impl ChainEntry for JournalEntry {
+    const MAGIC: &'static [u8; 16] = b"salus-journal\0\0\0";
+    const GENESIS: &'static [u8] = b"salus-journal-genesis";
+    const RECORD_DOMAIN: &'static [u8] = b"salus-journal-record";
+
+    fn encode(&self, out: &mut Vec<u8>) {
         match self {
             JournalEntry::Intent { op, action } => {
                 out.push(TAG_INTENT);
-                push_u64(&mut out, op.0);
-                action.encode(&mut out);
+                push_u64(out, op.0);
+                action.encode(out);
             }
             JournalEntry::Commit { op, path, elapsed } => {
                 out.push(TAG_COMMIT);
-                push_u64(&mut out, op.0);
-                out.push(path_tag(*path));
-                out.extend_from_slice(&elapsed.as_nanos().to_le_bytes());
+                push_u64(out, op.0);
+                push_path(out, *path);
+                push_duration(out, *elapsed);
             }
             JournalEntry::Abort { op, reason, kind } => {
                 out.push(TAG_ABORT);
-                push_u64(&mut out, op.0);
-                push_str(&mut out, reason);
+                push_u64(out, op.0);
+                push_str(out, reason);
                 out.push(match kind {
                     AbortKind::Failed => 0,
                     AbortKind::RolledBack => 1,
@@ -397,11 +273,10 @@ impl JournalEntry {
             }
             JournalEntry::Suspend { op, step } => {
                 out.push(TAG_SUSPEND);
-                push_u64(&mut out, op.0);
-                push_str(&mut out, step);
+                push_u64(out, op.0);
+                push_str(out, step);
             }
         }
-        out
     }
 
     fn decode(cur: &mut Cursor<'_>) -> Result<JournalEntry, SalusError> {
@@ -412,13 +287,7 @@ impl JournalEntry {
             },
             TAG_COMMIT => JournalEntry::Commit {
                 op: OpId(cur.u64()?),
-                path: match cur.u8()? {
-                    PATH_NONE => None,
-                    0 => Some(DeployPath::Cold),
-                    1 => Some(DeployPath::WarmKey),
-                    2 => Some(DeployPath::WarmImage),
-                    _ => return Err(SalusError::JournalCorrupt("unknown deploy path")),
-                },
+                path: cur.path()?,
                 elapsed: cur.duration()?,
             },
             TAG_ABORT => JournalEntry::Abort {
@@ -427,104 +296,24 @@ impl JournalEntry {
                 kind: match cur.u8()? {
                     0 => AbortKind::Failed,
                     1 => AbortKind::RolledBack,
-                    _ => return Err(SalusError::JournalCorrupt("unknown abort kind")),
+                    _ => return Err(cur.error("unknown abort kind")),
                 },
             },
             TAG_SUSPEND => JournalEntry::Suspend {
                 op: OpId(cur.u64()?),
                 step: cur.string()?,
             },
-            _ => return Err(SalusError::JournalCorrupt("unknown entry tag")),
+            _ => return Err(cur.error("unknown entry tag")),
         })
     }
-}
 
-/// One hash-chained journal record. Public fields for recovery drivers
-/// and tamper-evidence tests (which rebuild journals from deliberately
-/// corrupted records via [`Journal::from_records`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalRecord {
-    /// Position in the chain, starting at 0.
-    pub seq: u64,
-    /// Virtual timestamp the entry was appended at.
-    pub at: Duration,
-    /// Digest of the previous record ([`Journal::genesis`] for the
-    /// first).
-    pub prev_digest: Digest,
-    /// The entry itself.
-    pub entry: JournalEntry,
-    /// Domain-separated SHA-256 over seq, timestamp, `prev_digest`, and
-    /// the canonical entry bytes.
-    pub digest: Digest,
-}
-
-impl JournalRecord {
-    /// Recomputes what this record's digest must be from its own
-    /// fields.
-    pub fn expected_digest(&self) -> Digest {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"salus-journal-record");
-        push_u64(&mut buf, self.seq);
-        buf.extend_from_slice(&self.at.as_nanos().to_le_bytes());
-        buf.extend_from_slice(&self.prev_digest);
-        buf.extend_from_slice(&self.entry.to_bytes());
-        Sha256::digest(&buf)
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        push_u64(out, self.seq);
-        out.extend_from_slice(&self.at.as_nanos().to_le_bytes());
-        out.extend_from_slice(&self.prev_digest);
-        let entry = self.entry.to_bytes();
-        push_u64(out, entry.len() as u64);
-        out.extend_from_slice(&entry);
-        out.extend_from_slice(&self.digest);
-    }
-
-    fn decode(cur: &mut Cursor<'_>) -> Result<JournalRecord, SalusError> {
-        let seq = cur.u64()?;
-        let at = cur.duration()?;
-        let prev_digest = cur.digest()?;
-        let entry_len = cur.u64()?;
-        let entry_len = usize::try_from(entry_len)
-            .map_err(|_| SalusError::JournalCorrupt("oversized entry length"))?;
-        let entry_bytes = cur.take(entry_len)?;
-        let mut entry_cur = Cursor::new(entry_bytes);
-        let entry = JournalEntry::decode(&mut entry_cur)?;
-        if !entry_cur.done() {
-            return Err(SalusError::JournalCorrupt("trailing entry bytes"));
-        }
-        let digest = cur.digest()?;
-        Ok(JournalRecord {
-            seq,
-            at,
-            prev_digest,
-            entry,
-            digest,
-        })
+    fn error(reason: &'static str) -> SalusError {
+        SalusError::JournalCorrupt(reason)
     }
 }
 
-/// Where [`Journal::verify`] found the journal broken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JournalFault {
-    /// Index of the first record that fails verification.
-    pub index: usize,
-    /// What is wrong with it.
-    pub reason: &'static str,
-}
-
-impl std::fmt::Display for JournalFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "journal record {}: {}", self.index, self.reason)
-    }
-}
-
-impl From<JournalFault> for SalusError {
-    fn from(fault: JournalFault) -> SalusError {
-        SalusError::JournalCorrupt(fault.reason)
-    }
-}
+/// One hash-chained journal record.
+pub type JournalRecord = ChainRecord<JournalEntry>;
 
 /// One still-unsettled operation, as reported by [`Journal::open_ops`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -543,7 +332,7 @@ pub struct OpenOp {
 /// op-id counter.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Journal {
-    records: Vec<JournalRecord>,
+    chain: HashChain<JournalEntry>,
     next_op: u64,
 }
 
@@ -555,14 +344,19 @@ impl Journal {
 
     /// The fixed digest the first record chains from.
     pub fn genesis() -> Digest {
-        Sha256::digest(b"salus-journal-genesis")
+        HashChain::<JournalEntry>::genesis()
     }
 
     /// Rebuilds a journal from raw records *without* verifying them;
     /// run [`verify`](Journal::verify) afterwards. The op counter
     /// resumes after the highest intent id present.
     pub fn from_records(records: Vec<JournalRecord>) -> Journal {
-        let next_op = records
+        Journal::from_chain(HashChain::from_records(records))
+    }
+
+    fn from_chain(chain: HashChain<JournalEntry>) -> Journal {
+        let next_op = chain
+            .records()
             .iter()
             .filter_map(|r| match &r.entry {
                 JournalEntry::Intent { op, .. } => Some(op.0 + 1),
@@ -570,22 +364,7 @@ impl Journal {
             })
             .max()
             .unwrap_or(0);
-        Journal { records, next_op }
-    }
-
-    fn append(&mut self, at: Duration, entry: JournalEntry) -> Digest {
-        let prev_digest = self.head();
-        let mut record = JournalRecord {
-            seq: self.records.len() as u64,
-            at,
-            prev_digest,
-            entry,
-            digest: [0; 32],
-        };
-        record.digest = record.expected_digest();
-        let head = record.digest;
-        self.records.push(record);
-        head
+        Journal { chain, next_op }
     }
 
     /// Opens a new operation: appends its intent record at virtual time
@@ -593,66 +372,54 @@ impl Journal {
     pub fn begin(&mut self, at: Duration, action: IntentOp) -> OpId {
         let op = OpId(self.next_op);
         self.next_op += 1;
-        self.append(at, JournalEntry::Intent { op, action });
+        self.chain.append(at, JournalEntry::Intent { op, action });
         op
     }
 
     /// Commits `op`: every effect of the operation is in place.
     pub fn commit(&mut self, at: Duration, op: OpId, path: Option<DeployPath>, elapsed: Duration) {
-        self.append(at, JournalEntry::Commit { op, path, elapsed });
+        self.chain
+            .append(at, JournalEntry::Commit { op, path, elapsed });
     }
 
     /// Closes `op` without its effects.
     pub fn abort(&mut self, at: Duration, op: OpId, reason: &str, kind: AbortKind) {
-        self.append(
-            at,
-            JournalEntry::Abort {
-                op,
-                reason: reason.to_owned(),
-                kind,
-            },
-        );
+        let reason = reason.to_owned();
+        self.chain
+            .append(at, JournalEntry::Abort { op, reason, kind });
     }
 
     /// Parks `op` resumable at boot step `step`.
     pub fn suspend(&mut self, at: Duration, op: OpId, step: &str) {
-        self.append(
-            at,
-            JournalEntry::Suspend {
-                op,
-                step: step.to_owned(),
-            },
-        );
+        let step = step.to_owned();
+        self.chain.append(at, JournalEntry::Suspend { op, step });
     }
 
     /// The digest of the latest record (the genesis digest when empty).
     pub fn head(&self) -> Digest {
-        self.records
-            .last()
-            .map(|r| r.digest)
-            .unwrap_or_else(Journal::genesis)
+        self.chain.head()
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.chain.len()
     }
 
     /// True when nothing was ever journaled.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.chain.is_empty()
     }
 
     /// The records, oldest first.
     pub fn records(&self) -> &[JournalRecord] {
-        &self.records
+        self.chain.records()
     }
 
     /// Every operation with an intent but no commit or abort, in op
     /// order — the set recovery must settle.
     pub fn open_ops(&self) -> Vec<OpenOp> {
         let mut open: Vec<OpenOp> = Vec::new();
-        for record in &self.records {
+        for record in self.records() {
             match &record.entry {
                 JournalEntry::Intent { op, action } => open.push(OpenOp {
                     op: *op,
@@ -673,105 +440,53 @@ impl Journal {
         open
     }
 
-    /// Walks the whole chain and reports the first record that breaks
-    /// it: wrong genesis anchor, non-contiguous sequence numbers, time
-    /// running backwards, a digest not matching the record's fields, a
-    /// record not chaining from its predecessor — or a commit, abort,
-    /// or suspend referencing an operation the journal never opened
-    /// (or already settled), which a replayer must never trust.
+    /// Walks the chain ([`HashChain::verify_chain`]), then checks op
+    /// structure on the records before the first chain fault, and
+    /// reports whichever bad record comes first: a commit, abort, or
+    /// suspend referencing an operation the journal never opened (or
+    /// already settled), or an intent reusing an op id — none of which
+    /// a replayer may trust.
     ///
     /// # Errors
     ///
-    /// [`JournalFault`] naming the first bad record.
-    pub fn verify(&self) -> Result<(), JournalFault> {
-        let mut prev_digest = Journal::genesis();
-        let mut prev_at = Duration::ZERO;
+    /// [`ChainFault`] naming the first bad record.
+    pub fn verify(&self) -> Result<(), ChainFault> {
+        let walk = self.chain.verify_chain();
+        let walked = walk.as_ref().map_or_else(|f| f.index, |()| self.len());
         // OpId → settled? (false = open, true = committed/aborted)
         let mut ops: HashMap<OpId, bool> = HashMap::new();
-        for (index, record) in self.records.iter().enumerate() {
-            if record.seq != index as u64 {
-                return Err(JournalFault {
-                    index,
-                    reason: "sequence number out of order",
-                });
-            }
-            if record.at < prev_at {
-                return Err(JournalFault {
-                    index,
-                    reason: "timestamp runs backwards",
-                });
-            }
-            if record.prev_digest != prev_digest {
-                return Err(JournalFault {
-                    index,
-                    reason: "does not chain from predecessor",
-                });
-            }
-            if record.digest != record.expected_digest() {
-                return Err(JournalFault {
-                    index,
-                    reason: "digest does not match record contents",
-                });
-            }
-            match &record.entry {
+        for (index, record) in self.records()[..walked].iter().enumerate() {
+            let fault = match &record.entry {
                 JournalEntry::Intent { op, .. } => {
-                    if ops.insert(*op, false).is_some() {
-                        return Err(JournalFault {
-                            index,
-                            reason: "intent reuses an op id",
-                        });
-                    }
+                    ops.insert(*op, false).map(|_| "intent reuses an op id")
                 }
                 JournalEntry::Commit { op, .. } | JournalEntry::Abort { op, .. } => {
                     match ops.get_mut(op) {
-                        Some(settled @ false) => *settled = true,
-                        Some(true) => {
-                            return Err(JournalFault {
-                                index,
-                                reason: "op settled twice",
-                            })
+                        Some(settled @ false) => {
+                            *settled = true;
+                            None
                         }
-                        None => {
-                            return Err(JournalFault {
-                                index,
-                                reason: "references an op with no intent",
-                            })
-                        }
+                        Some(true) => Some("op settled twice"),
+                        None => Some("references an op with no intent"),
                     }
                 }
                 JournalEntry::Suspend { op, .. } => match ops.get(op) {
-                    Some(false) => {}
-                    Some(true) => {
-                        return Err(JournalFault {
-                            index,
-                            reason: "suspend on a settled op",
-                        })
-                    }
-                    None => {
-                        return Err(JournalFault {
-                            index,
-                            reason: "references an op with no intent",
-                        })
-                    }
+                    Some(false) => None,
+                    Some(true) => Some("suspend on a settled op"),
+                    None => Some("references an op with no intent"),
                 },
+            };
+            if let Some(reason) = fault {
+                return Err(ChainFault::new::<JournalEntry>(index, reason));
             }
-            prev_digest = record.digest;
-            prev_at = record.at;
         }
-        Ok(())
+        walk
     }
 
-    /// Canonical serialization of the whole journal: magic, record
-    /// count, then each record little-endian. Two journals holding the
-    /// same history serialize identically.
+    /// Canonical serialization of the whole journal. Two journals
+    /// holding the same history serialize identically.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"salus-journal\0\0\0");
-        push_u64(&mut out, self.records.len() as u64);
-        for record in &self.records {
-            record.encode(&mut out);
-        }
-        out
+        self.chain.to_bytes()
     }
 
     /// Decodes a serialized journal. Decoding checks structure only;
@@ -781,100 +496,42 @@ impl Journal {
     ///
     /// [`SalusError::JournalCorrupt`] on any malformed framing.
     pub fn from_bytes(bytes: &[u8]) -> Result<Journal, SalusError> {
-        let mut cur = Cursor::new(bytes);
-        if cur.take(16)? != b"salus-journal\0\0\0".as_slice() {
-            return Err(SalusError::JournalCorrupt("bad journal magic"));
-        }
-        let count = cur.u64()?;
-        let count = usize::try_from(count)
-            .ok()
-            .filter(|&c| c <= bytes.len())
-            .ok_or(SalusError::JournalCorrupt("implausible record count"))?;
-        let mut records = Vec::with_capacity(count);
-        for _ in 0..count {
-            records.push(JournalRecord::decode(&mut cur)?);
-        }
-        if !cur.done() {
-            return Err(SalusError::JournalCorrupt("trailing journal bytes"));
-        }
-        Ok(Journal::from_records(records))
+        HashChain::from_bytes(bytes).map(Journal::from_chain)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! Journal-only checks: the op counter and op structure. The chain
+    //! framing, tamper and bit-flip suite runs for the journal in
+    //! `platform::chain::tests::journal`.
+
     use super::*;
-    use salus_net::fault::SplitMix64;
 
     fn slot(device: usize, partition: usize) -> SlotId {
         SlotId { device, partition }
     }
 
-    /// A seeded, structurally valid journal: every op opens with an
-    /// intent and settles (or suspends) in op order.
-    fn seeded_journal(seed: u64, ops: usize) -> Journal {
-        let mut rng = SplitMix64::new(seed);
-        let mut journal = Journal::new();
-        let mut at = Duration::ZERO;
-        for i in 0..ops {
-            at += Duration::from_millis(rng.below(40));
-            let tenant = TenantId(rng.below(4));
-            let s = slot(rng.below(3) as usize, rng.below(2) as usize);
-            let action = match rng.below(7) {
-                0 => IntentOp::Register {
-                    tenant,
-                    name: format!("tenant-{i}"),
-                    seed: rng.next_u64(),
-                },
-                1 => IntentOp::Deploy { tenant, slot: s },
-                2 => IntentOp::Resume { tenant, slot: s },
-                3 => IntentOp::Evict { tenant, slot: s },
-                4 => IntentOp::Redeploy { tenant, slot: s },
-                5 => IntentOp::Fence { tenant, slot: s },
-                _ => IntentOp::Abandon { tenant, slot: s },
-            };
-            let op = journal.begin(at, action);
-            match rng.below(4) {
-                0 => journal.abort(at, op, &format!("boot error {i}"), AbortKind::Failed),
-                1 => journal.suspend(at, op, "DeviceKeyTransfer"),
-                2 => journal.commit(at, op, Some(DeployPath::Cold), Duration::from_millis(3)),
-                _ => journal.commit(at, op, None, Duration::ZERO),
-            }
+    fn deploy(tenant: u64) -> IntentOp {
+        IntentOp::Deploy {
+            tenant: TenantId(tenant),
+            slot: slot(0, 0),
         }
-        journal
     }
 
     #[test]
-    fn empty_journal_verifies_and_anchors_at_genesis() {
+    fn empty_journal_verifies_with_no_open_ops() {
         let journal = Journal::new();
-        assert!(journal.is_empty());
         assert_eq!(journal.head(), Journal::genesis());
-        assert_ne!(Journal::genesis(), super::super::audit::AuditLog::genesis());
         journal.verify().unwrap();
         assert!(journal.open_ops().is_empty());
-    }
-
-    #[test]
-    fn appended_chain_verifies_and_head_commits_to_history() {
-        let journal = seeded_journal(11, 25);
-        journal.verify().unwrap();
-        let again = seeded_journal(11, 25);
-        assert_eq!(journal.to_bytes(), again.to_bytes());
-        assert_eq!(journal.head(), again.head());
-        assert_ne!(journal.head(), seeded_journal(12, 25).head());
     }
 
     #[test]
     fn open_ops_tracks_intents_until_settled() {
         let mut journal = Journal::new();
         let t = Duration::ZERO;
-        let a = journal.begin(
-            t,
-            IntentOp::Deploy {
-                tenant: TenantId(1),
-                slot: slot(0, 0),
-            },
-        );
+        let a = journal.begin(t, deploy(1));
         let b = journal.begin(
             t,
             IntentOp::Evict {
@@ -896,35 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn forged_reordered_and_truncated_records_are_pinpointed() {
-        let journal = seeded_journal(21, 12);
-
-        let mut records = journal.records().to_vec();
-        records[5].at += Duration::from_secs(1);
-        let fault = Journal::from_records(records).verify().unwrap_err();
-        assert_eq!(fault.index, 5);
-        assert_eq!(fault.reason, "digest does not match record contents");
-
-        let mut records = journal.records().to_vec();
-        records.swap(3, 4);
-        let fault = Journal::from_records(records).verify().unwrap_err();
-        assert_eq!(fault.index, 3, "first displaced record: {fault}");
-
-        let mut records = journal.records().to_vec();
-        records.remove(6);
-        let fault = Journal::from_records(records).verify().unwrap_err();
-        assert_eq!(fault.index, 6, "first record after the gap: {fault}");
-
-        // Tail truncation still verifies — pinning the exported head
-        // (FleetSnapshot.journal_head) is the defense, as for audit.
-        let mut tail_cut = journal.records().to_vec();
-        tail_cut.truncate(8);
-        let shorter = Journal::from_records(tail_cut);
-        shorter.verify().unwrap();
-        assert_ne!(shorter.head(), journal.head());
-    }
-
-    #[test]
     fn dangling_and_double_settlements_are_rejected() {
         let t = Duration::ZERO;
 
@@ -933,6 +561,10 @@ mod tests {
         journal.commit(t, OpId(9), None, Duration::ZERO);
         let fault = journal.verify().unwrap_err();
         assert_eq!(fault.reason, "references an op with no intent");
+        assert_eq!(
+            SalusError::from(fault),
+            SalusError::JournalCorrupt("references an op with no intent")
+        );
 
         // Settling one op twice.
         let mut journal = Journal::new();
@@ -948,6 +580,15 @@ mod tests {
         let fault = journal.verify().unwrap_err();
         assert_eq!(fault.index, 2);
         assert_eq!(fault.reason, "op settled twice");
+
+        // Suspending a settled op.
+        let mut journal = Journal::new();
+        let op = journal.begin(t, deploy(1));
+        journal.commit(t, op, None, Duration::ZERO);
+        journal.suspend(t, op, "DeviceKeyTransfer");
+        let fault = journal.verify().unwrap_err();
+        assert_eq!(fault.index, 2);
+        assert_eq!(fault.reason, "suspend on a settled op");
 
         // Reused intent id.
         let mut journal = Journal::new();
@@ -971,58 +612,45 @@ mod tests {
     }
 
     #[test]
+    fn the_first_bad_record_wins_between_chain_and_op_faults() {
+        let t = Duration::ZERO;
+        // Record 1 is a dangling commit; record 3 is forged.
+        let mut journal = Journal::new();
+        journal.begin(t, deploy(1));
+        journal.commit(t, OpId(7), None, Duration::ZERO);
+        let op = journal.begin(t, deploy(2));
+        journal.commit(t, op, None, Duration::ZERO);
+        let mut records = journal.records().to_vec();
+        records[3].at += Duration::from_secs(1);
+        let fault = Journal::from_records(records).verify().unwrap_err();
+        assert_eq!(fault.index, 1);
+        assert_eq!(fault.reason, "references an op with no intent");
+
+        // A forgery before a dangling commit is reported at the forgery.
+        let mut journal = Journal::new();
+        let op = journal.begin(t, deploy(1));
+        journal.commit(t, op, None, Duration::ZERO);
+        journal.commit(t, OpId(7), None, Duration::ZERO);
+        let mut records = journal.records().to_vec();
+        records[1].at += Duration::from_secs(1);
+        let fault = Journal::from_records(records).verify().unwrap_err();
+        assert_eq!(fault.index, 1);
+        assert_eq!(fault.reason, "digest does not match record contents");
+    }
+
+    #[test]
     fn roundtrip_preserves_records_and_op_counter() {
-        let journal = seeded_journal(31, 18);
-        let decoded = Journal::from_bytes(&journal.to_bytes()).unwrap();
+        let mut journal = Journal::new();
+        for i in 0..18 {
+            let op = journal.begin(Duration::from_millis(i), deploy(i));
+            journal.commit(Duration::from_millis(i), op, None, Duration::ZERO);
+        }
+        let mut decoded = Journal::from_bytes(&journal.to_bytes()).unwrap();
         assert_eq!(decoded, journal);
         decoded.verify().unwrap();
 
         // The restored op counter continues, never reuses.
-        let mut decoded = decoded;
-        let op = decoded.begin(
-            Duration::from_secs(3600),
-            IntentOp::Deploy {
-                tenant: TenantId(0),
-                slot: slot(0, 0),
-            },
-        );
+        let op = decoded.begin(Duration::from_secs(3600), deploy(0));
         assert_eq!(op, OpId(18));
-    }
-
-    #[test]
-    fn every_single_bit_flip_of_a_serialized_journal_is_rejected() {
-        let journal = seeded_journal(41, 3);
-        let bytes = journal.to_bytes();
-        for bit in 0..bytes.len() * 8 {
-            let mut tampered = bytes.clone();
-            tampered[bit / 8] ^= 1 << (bit % 8);
-            let survived = match Journal::from_bytes(&tampered) {
-                Err(_) => false,
-                Ok(decoded) => decoded.verify().is_ok(),
-            };
-            assert!(!survived, "bit flip {bit} went undetected");
-        }
-    }
-
-    #[test]
-    fn seeded_property_streams_verify_roundtrip_and_reject_random_flips() {
-        for seed in 0..20u64 {
-            let journal = seeded_journal(seed, 20);
-            journal
-                .verify()
-                .unwrap_or_else(|f| panic!("seed {seed}: {f}"));
-            let bytes = journal.to_bytes();
-            assert_eq!(Journal::from_bytes(&bytes).unwrap(), journal);
-
-            let mut rng = SplitMix64::new(seed ^ 0x10A7);
-            let bit = rng.below((bytes.len() * 8) as u64) as usize;
-            let mut tampered = bytes.clone();
-            tampered[bit / 8] ^= 1 << (bit % 8);
-            let survived = match Journal::from_bytes(&tampered) {
-                Err(_) => false,
-                Ok(decoded) => decoded.verify().is_ok(),
-            };
-            assert!(!survived, "seed {seed}: bit flip {bit} went undetected");
-        }
     }
 }

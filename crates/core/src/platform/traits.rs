@@ -1,7 +1,7 @@
 //! Service seams of the shared platform.
 //!
-//! The boot machine, the RPC service layer, and the multi-RP path used
-//! to reach into `TestBed`'s concrete fields. These traits cut those
+//! The boot machine and the RPC service layer used to reach into
+//! `TestBed`'s concrete fields. These traits cut those
 //! dependencies at the three natural interfaces — key distribution,
 //! quote verification, and device leasing — so a deployment can run
 //! against the in-process defaults or against long-lived shared
@@ -239,8 +239,7 @@ pub trait DeviceBroker {
 /// Runs the §4.2 key-distribution round for `dna` against any
 /// [`KeyService`], leaving `Key_device` installed in `sm` and returning
 /// it for caching. This is the interface-level version of the round the
-/// multi-RP master and the fleet control plane both perform outside the
-/// full boot machine.
+/// boot machine performs, runnable outside it.
 ///
 /// # Errors
 ///

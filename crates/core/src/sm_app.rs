@@ -169,14 +169,8 @@ impl SmApp {
         Ok(())
     }
 
-    /// Installs metadata directly (multi-RP master path, where the SM
-    /// enclave already holds the per-partition metadata set).
-    pub(crate) fn install_metadata(&mut self, metadata: BitstreamMetadata) {
-        self.metadata = Some(metadata);
-    }
-
-    /// Installs an already-distributed device key (multi-RP path: one
-    /// key request serves all partitions of the same board).
+    /// Installs an already-distributed device key (the warm-key path:
+    /// one key request serves all partitions of the same board).
     pub(crate) fn install_device_key(&mut self, key: KeyDevice) {
         self.key_device = Some(key);
         self.gcm = None; // schedule must be re-expanded for the new key

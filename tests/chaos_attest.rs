@@ -227,7 +227,7 @@ fn tamper_is_detected_within_one_epoch_plus_deadline_and_fails_closed() {
     let position = |probe: &dyn Fn(&AuditEvent) -> bool| {
         log.records()
             .iter()
-            .position(|r| probe(&r.event))
+            .position(|r| probe(&r.entry))
             .expect("event recorded")
     };
     let tenant = outcome.tenant;
@@ -287,11 +287,11 @@ fn zero_fault_sweeps_raise_no_false_positives() {
     let log = fleet.node.plane().audit_log();
     log.verify_chain().expect("chain verifies");
     assert!(log.records().iter().all(|r| !matches!(
-        r.event,
+        r.entry,
         AuditEvent::LaneFenced { .. } | AuditEvent::SessionFenced { .. }
     )));
     assert!(log.records().iter().all(|r| !matches!(
-        r.event,
+        r.entry,
         AuditEvent::AttestOutcome { verdict, .. } if verdict != ChallengeVerdict::Alive
     )));
 
@@ -299,7 +299,7 @@ fn zero_fault_sweeps_raise_no_false_positives() {
     let tokens: Vec<u64> = log
         .records()
         .iter()
-        .filter_map(|r| match r.event {
+        .filter_map(|r| match r.entry {
             AuditEvent::AttestChallenge { token, .. } => Some(token),
             _ => None,
         })
@@ -433,5 +433,5 @@ fn rpc_backed_boots_survive_seeded_packet_loss() {
     assert!(log
         .records()
         .iter()
-        .any(|r| matches!(r.event, AuditEvent::Deploy { tenant: t, .. } if t == tenant)));
+        .any(|r| matches!(r.entry, AuditEvent::Deploy { tenant: t, .. } if t == tenant)));
 }

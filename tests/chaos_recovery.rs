@@ -350,7 +350,7 @@ fn crash_at_abandon_intent_preserves_the_suspension() {
         .audit_log()
         .records()
         .iter()
-        .filter(|r| matches!(r.event, AuditEvent::DeployAbandoned { .. }))
+        .filter(|r| matches!(r.entry, AuditEvent::DeployAbandoned { .. }))
         .count();
     assert_eq!(abandons, 1, "exactly one abandon reaches the audit chain");
 }
@@ -381,7 +381,7 @@ fn crash_at_abandon_pre_commit_rolls_forward() {
         .audit_log()
         .records()
         .iter()
-        .filter(|r| matches!(r.event, AuditEvent::DeployAbandoned { .. }))
+        .filter(|r| matches!(r.entry, AuditEvent::DeployAbandoned { .. }))
         .count();
     assert_eq!(
         abandons, 1,
@@ -526,7 +526,7 @@ fn journal_contradicted_by_the_board_fences_and_charges() {
         .audit_log()
         .records()
         .iter()
-        .filter(|r| matches!(r.event, AuditEvent::SessionFenced { .. }))
+        .filter(|r| matches!(r.entry, AuditEvent::SessionFenced { .. }))
         .count();
     assert_eq!(fences, 1, "the contradiction lands in the audit chain");
 }
@@ -540,7 +540,7 @@ fn abandon_audits_a_deploy_abandoned_event() {
     let audit = plane.audit_log();
     let last = audit.records().last().expect("audit is non-empty");
     assert_eq!(
-        last.event,
+        last.entry,
         AuditEvent::DeployAbandoned { tenant, slot },
         "abandoning must audit its own event, not a generic failure"
     );
@@ -548,7 +548,7 @@ fn abandon_audits_a_deploy_abandoned_event() {
         !audit
             .records()
             .iter()
-            .any(|r| matches!(r.event, AuditEvent::DeployFailed { .. })),
+            .any(|r| matches!(r.entry, AuditEvent::DeployFailed { .. })),
         "no failure event is forged for an abandon"
     );
 }

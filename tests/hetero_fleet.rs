@@ -114,7 +114,7 @@ fn scheduler_refuses_cross_family_deploys_and_audits_them() {
     log.verify_chain().unwrap();
     assert!(
         log.records().iter().any(|r| matches!(
-            &r.event,
+            &r.entry,
             AuditEvent::PlacementRefused { tenant, .. } if *tenant == mallory
         )),
         "the refusal must land in the audit chain"
